@@ -7,17 +7,12 @@ by shift path length, and `theory` runs the Monte Carlo property checks and
 fails (exit 3) on violations.  Every run prints a JSON report that embeds its
 configuration and the package version; reruns with the same inputs and seed
 are byte-identical.
-
-Thread count can be suggested through the MSDENOISE_THREADS environment
-variable (best effort: BLAS libraries that read their environment lazily pick
-it up, otherwise set the usual *_NUM_THREADS variables before launching).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -673,11 +668,6 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("MSDENOISE_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

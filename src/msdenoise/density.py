@@ -11,8 +11,11 @@ gradient
 
 Sums run over the data axis in fixed index order, so repeated evaluation of
 the same model at the same points is bit-for-bit reproducible.  Batch
-evaluation is blocked so memory stays bounded for desk-scale inputs
-(n up to a few thousand).
+evaluation runs over cache-sized blocks of query rows: two ``(rows, n)``
+buffers of about ``_BLOCK_FLOATS`` floats each are allocated once per call
+and reused for every block, so memory does not grow with the batch size and
+no ``(rows, n, d)`` temporary is formed.  Each row is reduced on its own, so
+a batch gives the same bits as evaluating its rows one at a time.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ __all__ = [
     "standardize",
 ]
 
-# Pairwise work-array budget (floats) for blocked evaluation.
-_BLOCK_BUDGET = 8_000_000
+# Floats per (rows, n) work buffer of blocked evaluation; two such buffers
+# (weights and scratch) fit in a per-core L2 cache.
+_BLOCK_FLOATS = 32_768
 
 
 @dataclass(frozen=True)
@@ -153,22 +157,51 @@ def _as_queries(x, dim: int) -> tuple[np.ndarray, bool]:
     raise ValueError(f"query must be a point or an (m, d) batch, got ndim={arr.ndim}")
 
 
+def _kernel_blocks(cols: np.ndarray, h: float, queries: np.ndarray):
+    """Gaussian kernel weights of query rows against the data, block by block.
+
+    `cols` is the data transposed to ``(d, n)`` with contiguous rows.  Yields
+    ``(lo, hi, w, scratch)`` where ``w[i, k] = exp(-||q_{lo+i} - X_k||^2 / (2 h^2))``
+    for the query rows ``lo:hi`` and `scratch` is a free buffer of the same
+    shape for the caller's reductions.  Both buffers are reused: a block's
+    values are valid only until the next one is requested.
+    """
+    d, n = cols.shape
+    m = queries.shape[0]
+    rows = max(1, min(m, _BLOCK_FLOATS // n))
+    wbuf = np.empty((rows, n))
+    sbuf = np.empty((rows, n))
+    inv2h2 = -0.5 / (h * h)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        w, scratch = wbuf[: hi - lo], sbuf[: hi - lo]
+        np.subtract(cols[0], queries[lo:hi, 0, None], out=w)
+        np.square(w, out=w)
+        for j in range(1, d):
+            np.subtract(cols[j], queries[lo:hi, j, None], out=scratch)
+            np.square(scratch, out=scratch)
+            np.add(w, scratch, out=w)
+        np.multiply(w, inv2h2, out=w)
+        np.exp(w, out=w)
+        yield lo, hi, w, scratch
+
+
 def _kde_eval(data: np.ndarray, h: float, queries: np.ndarray, want_grad: bool):
     """Blocked evaluation of the estimate (and optionally its gradient)."""
     n, d = data.shape
     m = queries.shape[0]
     norm = (2.0 * math.pi) ** (-0.5 * d) / (n * h**d)
+    gnorm = norm / (h * h)
     dens = np.empty(m)
     grad = np.empty((m, d)) if want_grad else None
-    block = max(1, _BLOCK_BUDGET // (n * (d + 1)))
-    inv2h2 = -0.5 / (h * h)
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        diff = data[None, :, :] - queries[lo:hi, None, :]  # (b, n, d)
-        w = np.exp(np.einsum("bnd,bnd->bn", diff, diff) * inv2h2)
+    cols = np.ascontiguousarray(data.T)
+    for lo, hi, w, scratch in _kernel_blocks(cols, h, queries):
         dens[lo:hi] = w.sum(axis=1) * norm
         if want_grad:
-            grad[lo:hi] = (diff * w[:, :, None]).sum(axis=1) * (norm / (h * h))
+            for j in range(d):
+                np.subtract(cols[j], queries[lo:hi, j, None], out=scratch)
+                np.multiply(scratch, w, out=scratch)
+                grad[lo:hi, j] = scratch.sum(axis=1) * gnorm
     return (dens, grad) if want_grad else dens
 
 

@@ -28,11 +28,11 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .density import (
-    _BLOCK_BUDGET,
     DensityModel,
     PointCloud,
     _as_queries,
     _density_and_gradient,
+    _kernel_blocks,
 )
 
 __all__ = [
@@ -184,26 +184,22 @@ def shift_step(op: ShiftOperator, x):
 def empirical_step_weighted_mean(model: DensityModel, x):
     """One step in the kernel-weighted-mean form over the model's own data.
 
-    Computed directly from the kernel weights, independently of the fitted
-    density and gradient code paths.
+    Shares only the kernel-weight blocks with the fitted density and
+    gradient; its reduction over the data is its own, so it stays an
+    independent cross-check of the gradient-ratio form.
     """
     q, single = _as_queries(x, model.dim)
-    pts = model.data.points
-    n, d = pts.shape
-    h = model.bandwidth
-    inv2h2 = -0.5 / (h * h)
+    cols = np.ascontiguousarray(model.data.points.T)
     out = np.empty_like(q)
-    block = max(1, _BLOCK_BUDGET // (n * (d + 1)))
-    for lo in range(0, q.shape[0], block):
-        hi = min(lo + block, q.shape[0])
-        diff = pts[None, :, :] - q[lo:hi, None, :]
-        w = np.exp(np.einsum("bnd,bnd->bn", diff, diff) * inv2h2)
+    for lo, hi, w, scratch in _kernel_blocks(cols, model.bandwidth, q):
         denom = w.sum(axis=1)
         bad = ~(np.isfinite(denom) & (denom > 0.0))
         if np.any(bad):
             i = int(np.flatnonzero(bad)[0])
             raise ZeroDensityError(lo + i, float(denom[i]))
-        out[lo:hi] = (w[:, :, None] * pts[None, :, :]).sum(axis=1) / denom[:, None]
+        for j in range(cols.shape[0]):
+            np.multiply(w, cols[j], out=scratch)
+            out[lo:hi, j] = scratch.sum(axis=1) / denom
     return out[0] if single else out
 
 

@@ -87,6 +87,7 @@ def test_mode_ball_gain_and_valley_ball_loss(gmm):
                         f"({valley_below_one}); {elapsed:.1f}s (budget 120s)")
 
 
+@pytest.mark.slow
 def test_empirical_population_gap_shrinks_with_sample_size(gmm, gmm_spec):
     t0 = time.time()
     rep = lab.empirical_population_gap(gmm, gmm_spec, [200, 800, 3200], h=0.3,
@@ -132,6 +133,7 @@ def test_spiral_case_spectral_improvement_after_denoising():
                         f"{elapsed:.0f}s (budget 600s)")
 
 
+@pytest.mark.slow
 def test_null_rate_and_power_without_denoising():
     t0 = time.time()
     e0 = power_experiment_uniform_noise(noise_grid=[0], n_reps=200, msd=False,
@@ -149,6 +151,7 @@ def test_null_rate_and_power_without_denoising():
                         f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_denoised_null_rate_is_reported_and_flagged():
     t0 = time.time()
     curve = power_experiment_uniform_noise(noise_grid=[0], n_reps=200, msd=True,
@@ -164,6 +167,7 @@ def test_denoised_null_rate_is_reported_and_flagged():
                         f"{flagged} (reported, not gated); {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_planted_outliers_dominate_path_length_ranking():
     t0 = time.time()
     hits4 = 0

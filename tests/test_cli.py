@@ -1,7 +1,6 @@
 """End-to-end checks of the command line interface via main(argv)."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -304,16 +303,6 @@ def test_theory_failure_exits_three(tmp_path, monkeypatch):
 def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
-
-
-def test_thread_env_suggestion(tmp_path, monkeypatch):
-    monkeypatch.setenv("MSDENOISE_THREADS", "1")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    out = tmp_path / "x.csv"
-    assert main(["gen", "--case", "gmm1d", "--n0", "10", "--out", str(out)]) == 0
-    assert os.environ["OMP_NUM_THREADS"] == "1"
 
 
 def test_report_stdout_matches_out_json(tmp_path, capsys):

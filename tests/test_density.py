@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from msdenoise import density
 from msdenoise import (
     DensityModel,
     KernelSpec,
@@ -31,6 +32,21 @@ def naive_density(data, h, x):
     return total * (2.0 * math.pi) ** (-d / 2.0) / (n * h**d)
 
 
+def naive_gradient(data, h, x):
+    """Pure-python double loop over the defining gradient sum."""
+    n, d = data.shape
+    total = [0.0] * d
+    for i in range(n):
+        sq = 0.0
+        for j in range(d):
+            sq += (x[j] - data[i, j]) ** 2
+        k = math.exp(-sq / (2.0 * h * h))
+        for j in range(d):
+            total[j] += (data[i, j] - x[j]) * k
+    scale = (2.0 * math.pi) ** (-d / 2.0) / (n * h ** (d + 2))
+    return np.array(total) * scale
+
+
 def test_density_at_own_center_single_point():
     # one data point, h=1, query at the point: (2 pi)^-1/2
     m = fit([[0.0]], 1.0)
@@ -45,6 +61,37 @@ def test_density_matches_naive_double_loop():
         ref = naive_density(data, 0.5, x)
         got = density_at(m, x)
         assert abs(got - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_gradient_matches_naive_double_loop(d):
+    rng = np.random.default_rng(70 + d)
+    data = rng.normal(size=(120, d))
+    m = fit(data, 0.6)
+    checked = 0
+    for x in rng.normal(scale=1.5, size=(40, d)):
+        ref = naive_gradient(data, 0.6, x)
+        if np.linalg.norm(ref) < 1e-4:  # near-critical: relative error ill-posed
+            continue
+        got = gradient_at(m, x)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        checked += 1
+    assert checked >= 30
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_batch_matches_single_queries_across_block_boundaries(d, monkeypatch):
+    """Blocks of 3 rows with a ragged tail: every row equals its own call."""
+    rng = np.random.default_rng(50 + d)
+    n = 40
+    data = rng.normal(size=(n, d))
+    m = fit(data, 0.7)
+    q = rng.normal(size=(3 * 5 + 2, d))
+    monkeypatch.setattr(density, "_BLOCK_FLOATS", 3 * n)
+    batch = density_at(m, q)
+    gbatch = gradient_at(m, q)
+    assert np.array_equal(batch, np.array([density_at(m, row) for row in q]))
+    assert np.array_equal(gbatch, np.vstack([gradient_at(m, row) for row in q]))
 
 
 def test_batch_matches_single_queries_exactly():

@@ -1,8 +1,11 @@
 """Shift step, convergence trace, and denoising sweep tests."""
 
+import math
+
 import numpy as np
 import pytest
 
+from msdenoise import density
 from msdenoise import (
     AnalyticDensity,
     ShiftOperator,
@@ -25,6 +28,22 @@ def standard_normal_1d():
         return (-q[:, 0] * dens(q))[:, None]
 
     return AnalyticDensity(density=dens, gradient=grad, dim=1, modes=[[0.0]])
+
+
+def naive_weighted_mean(data, h, x):
+    """Pure-python double loop over the kernel-weighted mean of the data."""
+    n, d = data.shape
+    num = [0.0] * d
+    den = 0.0
+    for i in range(n):
+        sq = 0.0
+        for j in range(d):
+            sq += (x[j] - data[i, j]) ** 2
+        k = math.exp(-sq / (2.0 * h * h))
+        den += k
+        for j in range(d):
+            num[j] += data[i, j] * k
+    return np.array(num) / den
 
 
 def test_fixed_point_at_analytic_mode():
@@ -57,6 +76,33 @@ def test_ratio_form_equals_weighted_mean_form():
         b = shift_step(op, x)
         worst = max(worst, float(np.abs(a - b).max()))
     assert worst < 1e-10, f"forms disagree by {worst}"
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_weighted_mean_matches_naive_double_loop(d):
+    rng = np.random.default_rng(80 + d)
+    data = rng.normal(loc=2.0, size=(120, d))
+    m = fit(data, 0.6)
+    for x in rng.normal(loc=2.0, scale=1.5, size=(40, d)):
+        ref = naive_weighted_mean(data, 0.6, x)
+        got = empirical_step_weighted_mean(m, x)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_batch_step_matches_single_rows_across_block_boundaries(d, monkeypatch):
+    """Blocks of 3 rows with a ragged tail: every row equals its own call."""
+    rng = np.random.default_rng(60 + d)
+    n = 40
+    data = rng.normal(size=(n, d))
+    m = fit(data, 0.7)
+    op = ShiftOperator(m, tau=0.5)
+    q = rng.normal(size=(3 * 5 + 2, d))
+    monkeypatch.setattr(density, "_BLOCK_FLOATS", 3 * n)
+    wm = empirical_step_weighted_mean(m, q)
+    ratio = shift_step(op, q)
+    assert np.array_equal(wm, np.vstack([empirical_step_weighted_mean(m, row) for row in q]))
+    assert np.array_equal(ratio, np.vstack([shift_step(op, row) for row in q]))
 
 
 def test_weighted_mean_symmetric_pair_midpoint():
@@ -184,6 +230,22 @@ def test_zero_density_raises_with_point_index():
     assert exc.value.index == 1
     with pytest.raises(ZeroDensityError):
         shift_step(ShiftOperator(m), [5000.0])
+
+
+def test_zero_density_index_in_later_block():
+    rng = np.random.default_rng(5)
+    n = 1000
+    m = fit(rng.normal(size=(n, 1)), 0.1)
+    rows_per_block = density._BLOCK_FLOATS // n
+    assert 77 >= 2 * rows_per_block  # row 77 lies past the first two blocks
+    batch = rng.normal(size=(100, 1))
+    batch[77] = 5000.0
+    with pytest.raises(ZeroDensityError) as exc:
+        empirical_step_weighted_mean(m, batch)
+    assert exc.value.index == 77
+    with pytest.raises(ZeroDensityError) as exc:
+        shift_step(ShiftOperator(m), batch)
+    assert exc.value.index == 77
 
 
 def test_monotone_ascent_property():
