@@ -183,10 +183,6 @@ def _resolve_bandwidth(spec, points):
     return h
 
 
-def _rng(*entropy):
-    return np.random.default_rng(np.random.SeedSequence(list(entropy)))
-
-
 # ---------------------------------------------------------------------------
 # Synthetic cases (bullseye/spiral structures plus uniform background noise)
 
@@ -250,6 +246,7 @@ def run_clustering_case(case, algo="spectral", k=2, n_reps=50, rng_seed=0,
     from .clustering import ari
     from .density import fit
     from .shift import ShiftOperator
+    from .synthetic import _rng
 
     if case not in _CASES:
         raise CliError(f"unknown case {case!r}; choose from {sorted(_CASES)}")
@@ -313,6 +310,7 @@ def run_dataset_eval(name, path, algo="spectral", k=None, n_reps=10, rng_seed=0,
     from .clustering import ari
     from .density import fit
     from .shift import ShiftOperator
+    from .synthetic import _rng
 
     cloud, labels = load_dataset(name, path, with_labels=True)
     if labels is None:
@@ -339,6 +337,7 @@ def run_dataset_eval(name, path, algo="spectral", k=None, n_reps=10, rng_seed=0,
 
 def cmd_gen(args):
     from .synthetic import (
+        _rng,
         default_anomaly_scenario,
         gen_bullseye,
         gen_gmm_1d,
@@ -487,6 +486,8 @@ def cmd_anomaly(args):
 
 def _theory_payload(check, seed):
     import msdenoise.theory_lab as lab
+
+    from .synthetic import _rng
 
     if check == "ascent":
         # many small random models, 10k (model, probe) pairs in total

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import PointCloud
+from .synthetic import _rng
 
 _MAX_LLOYD = 300
 
@@ -46,10 +47,6 @@ def _as_points(data) -> np.ndarray:
     if isinstance(data, PointCloud):
         return data.points
     return PointCloud(np.asarray(data, dtype=np.float64)).points
-
-
-def _rng(*entropy) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(list(entropy)))
 
 
 def _sq_dists(x, centers):

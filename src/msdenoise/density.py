@@ -16,6 +16,13 @@ buffers of about ``_BLOCK_FLOATS`` floats each are allocated once per call
 and reused for every block, so memory does not grow with the batch size and
 no ``(rows, n, d)`` temporary is formed.  Each row is reduced on its own, so
 a batch gives the same bits as evaluating its rows one at a time.
+
+Smoothed cross-validation works on one condensed array of the n(n-1)/2
+squared pair distances, taken once per selection from direct differences
+(``scipy.spatial.distance.pdist``), so the selected bandwidth does not
+depend on where the sample sits.  Scores are sums of ``exp`` over that
+array in blocks of ``_BLOCK_FLOATS``, several variances per block, through
+one reused buffer: memory is n(n-1)/2 floats plus one block.
 """
 
 from __future__ import annotations
@@ -41,6 +48,11 @@ __all__ = [
 # Floats per (rows, n) work buffer of blocked evaluation; two such buffers
 # (weights and scratch) fit in a per-core L2 cache.
 _BLOCK_FLOATS = 32_768
+
+# Points of the coarse SCV grid over [h_ns / 10, 10 h_ns] and the
+# golden-section tolerance on log h.
+_SCV_GRID = 24
+_SCV_LOG_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -248,43 +260,63 @@ def select_bandwidth_normal_scale(data) -> float:
 
 
 def _scv_criterion_factory(points: np.ndarray, g: float):
-    """Smoothed cross-validation score as a function of h.
+    """Smoothed cross-validation scores as a function of h.
 
     Score(h) = R(K) / (n h^d)
              + n^-2 * sum_{i,j} (phi_{2h^2+2g^2} - 2 phi_{h^2+2g^2} + phi_{2g^2})(X_i - X_j)
 
     with phi_v the isotropic gaussian with per-axis variance v, the double
     sum over all ordered pairs including i = j, and g the pilot bandwidth.
-    Pairwise squared distances are precomputed once.
+    The squared distances of the n(n-1)/2 pairs i < j are taken once, from
+    direct differences, into one condensed array; the constant pilot term is
+    summed once.  Returns `score(hs)`, the scores of a sequence of bandwidths
+    from one blocked pass over the pairs.
     """
+    from scipy.spatial.distance import pdist
+
     n, d = points.shape
-    sq = np.einsum("nd,nd->n", points, points)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
-    iu = np.triu_indices(n, k=1)
-    tri = np.maximum(d2[iu], 0.0)  # clip tiny negative rounding
+    tri = pdist(points, "sqeuclidean")
+    step = min(tri.size, _BLOCK_FLOATS)
+    buf = np.empty(step)
     rk = (4.0 * math.pi) ** (-0.5 * d)
 
-    def pair_sum(var: float) -> float:
-        # sum over all ordered pairs of phi_var(X_i - X_j)
-        amp = (2.0 * math.pi * var) ** (-0.5 * d)
-        return amp * (n + 2.0 * float(np.exp(tri / (-2.0 * var)).sum()))
+    def pair_sums(variances: np.ndarray) -> np.ndarray:
+        # sum over all ordered pairs of phi_v(X_i - X_j), for each v
+        coefs = -0.5 / variances
+        acc = np.zeros(variances.size)
+        for lo in range(0, tri.size, step):
+            block = tri[lo : lo + step]
+            w = buf[: block.size]
+            for k, c in enumerate(coefs):
+                np.multiply(block, c, out=w)
+                np.exp(w, out=w)
+                acc[k] += w.sum()
+        return (2.0 * math.pi * variances) ** (-0.5 * d) * (n + 2.0 * acc)
 
-    def score(h: float) -> float:
-        g2 = g * g
+    pilot_var = 2.0 * g * g
+    pilot = pair_sums(np.array([pilot_var]))[0]
+
+    def score(hs) -> np.ndarray:
+        h = np.asarray(hs, dtype=float)
         h2 = h * h
-        mix = pair_sum(2.0 * h2 + 2.0 * g2) - 2.0 * pair_sum(h2 + 2.0 * g2) + pair_sum(2.0 * g2)
+        sums = pair_sums(np.concatenate([2.0 * h2 + pilot_var, h2 + pilot_var]))
+        mix = sums[: h.size] - 2.0 * sums[h.size :] + pilot
         return rk / (n * h**d) + mix / (n * n)
 
     return score
 
 
-def select_bandwidth_scv(data, *, grid_size: int = 24, log_tol: float = 1e-6) -> float:
+def select_bandwidth_scv(data) -> float:
     """Smoothed cross-validation bandwidth.
 
     Minimizes the smoothed CV score with a gaussian pilot at the
-    normal-scale bandwidth: a coarse geometric grid over
-    ``[h_ns / 10, 10 h_ns]`` locates the basin, then golden-section search
-    on log h refines it.  Needs at least 10 points; rejects degenerate data.
+    normal-scale bandwidth: a coarse geometric grid of ``_SCV_GRID`` points
+    over ``[h_ns / 10, 10 h_ns]`` locates the basin, then golden-section
+    search on log h refines it to ``_SCV_LOG_TOL``.  Every score is a sum
+    over one condensed array of the n(n-1)/2 pair squared distances, taken
+    from direct differences, so the result does not depend on where the
+    sample sits and memory is n(n-1)/2 floats plus one block.  Needs at
+    least 10 points; rejects degenerate data.
     """
     cloud = data if isinstance(data, PointCloud) else PointCloud(data)
     if cloud.size < 10:
@@ -292,27 +324,26 @@ def select_bandwidth_scv(data, *, grid_size: int = 24, log_tol: float = 1e-6) ->
     h_ns = select_bandwidth_normal_scale(cloud)
     score = _scv_criterion_factory(cloud.points, g=h_ns)
 
-    grid = np.geomspace(h_ns / 10.0, h_ns * 10.0, grid_size)
-    vals = np.array([score(h) for h in grid])
-    k = int(np.argmin(vals))
+    grid = np.geomspace(h_ns / 10.0, h_ns * 10.0, _SCV_GRID)
+    k = int(np.argmin(score(grid)))
     lo = math.log(grid[max(k - 1, 0)])
-    hi = math.log(grid[min(k + 1, grid_size - 1)])
+    hi = math.log(grid[min(k + 1, _SCV_GRID - 1)])
 
     # golden-section on log h
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
-    f1, f2 = score(math.exp(x1)), score(math.exp(x2))
-    while (b - a) > log_tol:
+    f1, f2 = score([math.exp(x1), math.exp(x2)])
+    while (b - a) > _SCV_LOG_TOL:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
-            f1 = score(math.exp(x1))
+            f1 = score([math.exp(x1)])[0]
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
-            f2 = score(math.exp(x2))
+            f2 = score([math.exp(x2)])[0]
     return float(math.exp(0.5 * (a + b)))
 
 

@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 
+def _rng(*entropy) -> np.random.Generator:
+    """Generator for the stream named by a seed and any sub-stream indices."""
+    return np.random.default_rng(np.random.SeedSequence(list(entropy)))
+
+
 @dataclass(frozen=True)
 class LabeledCloud:
     """A point cloud with per-point integer structure labels.

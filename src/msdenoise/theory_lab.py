@@ -31,6 +31,7 @@ from .shift import (
     empirical_step_weighted_mean,
     shift_until_converged,
 )
+from .synthetic import _rng
 
 __all__ = [
     "LevelSetSpec",
@@ -166,10 +167,6 @@ def _ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
         return slope, math.inf
     se = math.sqrt(float(np.dot(resid, resid)) / dof / sxx)
     return slope, 2.0 * se
-
-
-def _rng(*entropy) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(list(entropy)))
 
 
 def _require_sampler(density: AnalyticDensity) -> Callable:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import PointCloud
+from .synthetic import _rng, gen_gmm_1d
 
 # uniform contamination support for the noise experiment: covers the mixture
 # bulk [mu1 - 3 sigma, mu2 + 3 sigma]
@@ -254,10 +255,6 @@ class PowerCurve:
                          % (g, self.power_before[i], after, self.n_reps))
 
 
-def _rng(*entropy) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(list(entropy)))
-
-
 def _run_power_grid(make_samples, grid, n_reps, alpha, msd, rng_seed, test, n_perm):
     before = np.zeros(len(grid))
     after = np.zeros(len(grid)) if msd else None
@@ -298,8 +295,6 @@ def power_experiment_uniform_noise(n0=1000, noise_grid=(0, 100, 200, 300, 400, 5
     null configuration.  With msd on, each sample is also denoised by one
     mean shift sweep under its own KDE and retested.
     """
-    from .synthetic import gen_gmm_1d
-
     grid = [int(v) for v in noise_grid]
     if any(v < 0 for v in grid):
         raise ValueError("noise counts must be nonnegative")
@@ -327,8 +322,6 @@ def power_experiment_mixture_proportion(pi_grid=(0.5, 0.45, 0.4, 0.35, 0.3, 0.25
     The second sample keeps weight 0.5; the grid point 0.5 is the null
     configuration.  Same denoising option as the noise experiment.
     """
-    from .synthetic import gen_gmm_1d
-
     grid = [float(p) for p in pi_grid]
     if any(not 0.0 < p < 1.0 for p in grid):
         raise ValueError("mixture weights must lie in (0, 1)")

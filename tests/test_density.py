@@ -254,6 +254,40 @@ def test_scv_scale_equivariant():
     assert h2 == pytest.approx(7.0 * h1, rel=1e-6)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("offset", [1e4, 1e8])
+def test_scv_translation_invariant(d, offset):
+    z = np.random.default_rng(1).normal(size=(200, d))
+    assert select_bandwidth_scv(z + offset) == pytest.approx(select_bandwidth_scv(z), rel=1e-6)
+
+
+def naive_scv_score(data, g, h):
+    """Pure-python double loop over all ordered pairs, i = j included."""
+    n, d = data.shape
+
+    def phi(v, sq):
+        return (2.0 * math.pi * v) ** (-d / 2.0) * math.exp(-sq / (2.0 * v))
+
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            sq = sum((data[i, k] - data[j, k]) ** 2 for k in range(d))
+            total += phi(2 * h * h + 2 * g * g, sq) - 2.0 * phi(h * h + 2 * g * g, sq) + phi(2 * g * g, sq)
+    return (4.0 * math.pi) ** (-d / 2.0) / (n * h**d) + total / (n * n)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_scv_criterion_matches_naive_double_loop(monkeypatch, d):
+    # 66 pairs in blocks of 7: nine full blocks and a partial last one
+    monkeypatch.setattr(density, "_BLOCK_FLOATS", 7)
+    data = np.random.default_rng(20 + d).normal(size=(12, d))
+    g = select_bandwidth_normal_scale(data)
+    hs = [g / 3.0, g, 3.0 * g]
+    got = density._scv_criterion_factory(data, g)(hs)
+    for h, value in zip(hs, got):
+        assert value == pytest.approx(naive_scv_score(data, g, h), rel=1e-10)
+
+
 def test_scv_requires_ten_points():
     with pytest.raises(ValueError):
         select_bandwidth_scv(np.arange(9.0))
