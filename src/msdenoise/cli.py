@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -162,11 +163,13 @@ def _report(args, **payload):
 
 
 def _print_report(report, path=None):
+    # the file first: a reader that closes stdout early must not lose it
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    print(text)
+    sys.stdout.flush()
 
 
 def _resolve_bandwidth(spec, points):
@@ -679,7 +682,14 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _print_report(report, getattr(args, "out_json", None))
+    try:
+        _print_report(report, getattr(args, "out_json", None))
+    except BrokenPipeError:
+        # the reader went away (`| head`); point stdout at devnull so the
+        # flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return code
 
 

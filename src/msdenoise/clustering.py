@@ -153,17 +153,46 @@ def _affinity(pts, sigma, knn=None):
     return aff
 
 
+def _n_components(adj) -> int:
+    """Number of connected components of a graph given as a boolean matrix.
+
+    Breadth-first search from the first unseen vertex; each vertex's row is
+    read once, as part of one frontier, so the work is O(n^2) boolean
+    operations.  `adj` must be symmetric.
+    """
+    n = adj.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    n_comp = 0
+    while not seen.all():
+        frontier = np.zeros(n, dtype=bool)
+        frontier[np.argmin(seen)] = True
+        n_comp += 1
+        while frontier.any():
+            seen |= frontier
+            frontier = adj[frontier].any(axis=0) & ~seen
+    return n_comp
+
+
+# The most memory `spectral` holds at once is in the kNN path of `_affinity`:
+# four n x n 8-byte arrays (distances, affinities, the argpartition indices,
+# the masked copy) and two boolean masks, 4.25 n^2 words by tracemalloc.  At
+# this limit each 8-byte array is 512 MiB, about 2.1 GiB together.
+_MAX_SPECTRAL_POINTS = 8192
+
+
 def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
     """Normalized spectral clustering with a gaussian affinity.
 
     Builds exp(-d^2 / 2 sigma^2) affinities (optionally sparsified to a
     symmetrized k-nearest-neighbor graph), takes the k leading eigenvectors
-    of D^{-1/2} A D^{-1/2}, normalizes the rows, and k-means them.  If the
-    graph splits into more connected components than k a warning is issued
-    and clustering proceeds anyway.
+    of D^{-1/2} A D^{-1/2}, normalizes the rows, and k-means them.  Only
+    those k eigenpairs are computed (LAPACK ``syevr`` with an index subset).
+    Connected components are counted by breadth-first search on the dense
+    graph; if there are more than k a warning is issued and clustering
+    proceeds anyway.  More than `_MAX_SPECTRAL_POINTS` points raise
+    ValueError before any n x n array is allocated.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
+    from scipy.linalg import eigh
 
     pts = _as_points(data)
     n = pts.shape[0]
@@ -174,6 +203,11 @@ def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
         raise ValueError("need at least k+1 points")
     if k == 1:
         return LabelSet(np.zeros(n, dtype=np.int64), 1)
+    if n > _MAX_SPECTRAL_POINTS:
+        raise ValueError(
+            f"spectral clustering builds n x n matrices; n={n} exceeds the "
+            f"limit of {_MAX_SPECTRAL_POINTS} points"
+        )
 
     if affinity_sigma in (None, "auto"):
         sigma = _auto_sigma(pts, rng_seed)
@@ -183,7 +217,7 @@ def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
             raise ValueError("affinity_sigma must be positive")
 
     aff = _affinity(pts, sigma, knn)
-    n_comp, _ = connected_components(csr_matrix(aff > 0.0), directed=False)
+    n_comp = _n_components(aff > 0.0)
     if n_comp > k:
         warnings.warn(
             f"affinity graph has {n_comp} connected components but k={k}; "
@@ -193,10 +227,15 @@ def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
 
     deg = aff.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(np.where(deg > 0.0, deg, 1.0))
-    m = aff * inv_sqrt[:, None] * inv_sqrt[None, :]
-    m = 0.5 * (m + m.T)
-    _, vecs = np.linalg.eigh(m)
-    rows = vecs[:, -k:]
+    aff *= inv_sqrt[:, None]
+    aff *= inv_sqrt[None, :]
+    m = np.add(aff, aff.T)
+    m *= 0.5
+    del aff
+    # eigenvalues ascend, so these columns are the k leading eigenvectors;
+    # a column's sign may differ from a full solve, and k-means is exactly
+    # invariant to negating a coordinate
+    _, rows = eigh(m, subset_by_index=[n - k, n - 1], overwrite_a=True)
     norms = np.linalg.norm(rows, axis=1)
     rows = rows / np.where(norms > 0.0, norms, 1.0)[:, None]
     return kmeans(rows, k, rng_seed=rng_seed)

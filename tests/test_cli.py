@@ -1,6 +1,9 @@
 """End-to-end checks of the command line interface via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -312,3 +315,30 @@ def test_report_stdout_matches_out_json(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert printed.strip() == out.read_text().strip()
     json.loads(printed)  # valid JSON on stdout
+
+
+def test_closed_stdout_pipe_still_writes_out_json(tmp_path):
+    # `msdenoise ... --out-json F | head -1`: the reader leaves after the
+    # first line while the report is still being written
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe capacity cannot be set on this platform")
+    out = tmp_path / "rep.json"
+    read_fd, write_fd = os.pipe()
+    # one page of capacity, so the ~7 kB report blocks the writer mid-way
+    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "msdenoise.cli", "cluster-eval", "--case", "spiral4",
+         "--algo", "hier", "--h", "0.3", "--reps", "150", "--out-json", str(out)],
+        stdout=write_fd, stderr=subprocess.PIPE, env=env)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb", buffering=0) as reader:
+        first = reader.readline()
+    _, err = proc.communicate(timeout=120)
+    assert first == b"{\n"
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err.decode()
+    report = json.loads(out.read_text())
+    assert report["n_reps"] == 150

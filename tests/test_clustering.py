@@ -3,10 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from msdenoise import clustering
 from msdenoise.clustering import (
     LabelSet,
     _affinity,
+    _auto_sigma,
     _kmeans_once,
+    _n_components,
     _rng,
     ari,
     hierarchical,
@@ -137,6 +140,21 @@ class TestSpectral:
         expect = np.block([[a, a + np.eye(10)], [a + np.eye(10), a]])
         assert np.array_equal(doubled, expect)
 
+    def test_size_limit_fails_before_allocating(self, monkeypatch):
+        import scipy.spatial.distance
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pairwise distances computed")
+
+        monkeypatch.setattr(scipy.spatial.distance, "pdist", refuse)
+        monkeypatch.setattr(scipy.spatial.distance, "squareform", refuse)
+        limit = clustering._MAX_SPECTRAL_POINTS
+        pts = np.zeros((limit + 1, 1))
+        with pytest.raises(ValueError, match=f"limit of {limit} points"):
+            spectral(pts, 2)
+        with pytest.raises(ValueError, match=f"limit of {limit} points"):
+            spectral(pts, 2, affinity_sigma=1.0, knn=5)
+
     def test_disconnected_graph_warns(self):
         rng = np.random.default_rng(0)
         pts = np.vstack([rng.normal(c, 0.01, (5, 2)) for c in (0.0, 100.0, 200.0)])
@@ -153,6 +171,83 @@ class TestSpectral:
             spectral(pts, 2, affinity_sigma=-1.0)
         with pytest.raises(ValueError):
             spectral(pts, 2, knn=4)
+
+
+def three_clusters():
+    rng = np.random.default_rng(0)
+    return np.vstack([rng.normal(c, 0.01, (5, 2)) for c in (0.0, 100.0, 200.0)])
+
+
+class TestComponentCount:
+    @staticmethod
+    def oracle(adj):
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        return connected_components(csr_matrix(adj), directed=False)[0]
+
+    def graphs(self):
+        rings, _ = concentric_rings()
+        complete = np.ones((30, 30), dtype=bool)
+        np.fill_diagonal(complete, False)
+        isolated = np.zeros((12, 12), dtype=bool)
+        isolated[[0, 1, 5], [1, 5, 0]] = True
+        rng = np.random.default_rng(8)
+        sparse = rng.random((200, 200)) < 0.004
+        yield "complete", complete
+        yield "rings_knn", _affinity(rings, 1.0, knn=10) > 0.0
+        yield "isolated", isolated | isolated.T
+        yield "three_clusters", _affinity(three_clusters(), 0.05) > 0.0
+        yield "random_sparse", sparse | sparse.T
+
+    def test_matches_scipy(self):
+        counts = {}
+        for name, adj in self.graphs():
+            counts[name] = _n_components(adj)
+            assert counts[name] == self.oracle(adj), name
+        # the graphs span one to many components
+        assert counts["complete"] == 1
+        assert counts["rings_knn"] == 2  # one per ring
+        assert counts["isolated"] == 10
+        assert counts["three_clusters"] == 3
+        assert counts["random_sparse"] > 5
+
+
+def spectral_full_reference(pts, k, affinity_sigma, knn=None, rng_seed=0):
+    """`spectral` with the full spectrum from np.linalg.eigh."""
+    if affinity_sigma == "auto":
+        affinity_sigma = _auto_sigma(pts, rng_seed)
+    aff = _affinity(pts, affinity_sigma, knn)
+    deg = aff.sum(axis=1)
+    inv_sqrt = 1.0 / np.sqrt(np.where(deg > 0.0, deg, 1.0))
+    m = aff * inv_sqrt[:, None] * inv_sqrt[None, :]
+    m = 0.5 * (m + m.T)
+    rows = np.linalg.eigh(m)[1][:, -k:]
+    norms = np.linalg.norm(rows, axis=1)
+    rows = rows / np.where(norms > 0.0, norms, 1.0)[:, None]
+    return kmeans(rows, k, rng_seed=rng_seed)
+
+
+class TestSpectralSubsetSolver:
+    def cases(self):
+        rings, _ = concentric_rings()
+        rng = np.random.default_rng(4)
+        small = np.vstack([rng.normal(0.0, 0.2, (5, 2)), rng.normal(4.0, 0.2, (5, 2))])
+        blobs = np.vstack([
+            np.random.default_rng(s).normal(c, 0.6, (40, 2))
+            for s, c in enumerate((0.0, 3.0, 6.0))
+        ])
+        yield "rings_dense", rings, 2, dict(affinity_sigma=0.5)
+        yield "rings_knn", rings, 2, dict(affinity_sigma="auto", knn=10)
+        yield "three_blobs", blobs, 3, dict(affinity_sigma=1.0)
+        yield "duplicated", np.vstack([small, small]), 2, dict(affinity_sigma=1.0)
+
+    def test_labels_match_full_spectrum(self):
+        for name, pts, k, kw in self.cases():
+            for seed in (0, 1):
+                want = spectral_full_reference(pts, k, rng_seed=seed, **kw)
+                got = spectral(pts, k, rng_seed=seed, **kw)
+                assert np.array_equal(got.labels, want.labels), (name, seed)
 
 
 class TestHierarchical:
