@@ -146,7 +146,8 @@ def _affinity(pts, sigma, knn=None):
             raise ValueError(f"knn must be in 1..{n - 1}")
         np.fill_diagonal(dist, np.inf)
         keep = np.zeros_like(aff, dtype=bool)
-        nearest = np.argpartition(dist, knn - 1, axis=1)[:, :knn]
+        # a copy, so the n x n index array is freed before the masked copy
+        nearest = np.argpartition(dist, knn - 1, axis=1)[:, :knn].copy()
         keep[np.arange(n)[:, None], nearest] = True
         # union symmetrization: keep the edge if either endpoint wants it
         aff = np.where(keep | keep.T, aff, 0.0)
@@ -174,9 +175,9 @@ def _n_components(adj) -> int:
 
 
 # The most memory `spectral` holds at once is in the kNN path of `_affinity`:
-# four n x n 8-byte arrays (distances, affinities, the argpartition indices,
-# the masked copy) and two boolean masks, 4.25 n^2 words by tracemalloc.  At
-# this limit each 8-byte array is 512 MiB, about 2.1 GiB together.
+# three n x n 8-byte arrays (distances, affinities, the masked copy) and two
+# boolean masks, 3.25 n^2 words by tracemalloc at n = 2000.  At this limit
+# each 8-byte array is 512 MiB, about 1.6 GiB together.
 _MAX_SPECTRAL_POINTS = 8192
 
 

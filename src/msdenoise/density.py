@@ -12,22 +12,31 @@ gradient
 Sums run over the data axis in fixed index order, so repeated evaluation of
 the same model at the same points is bit-for-bit reproducible.  Batch
 evaluation runs over cache-sized blocks of query rows: two ``(rows, n)``
-buffers of about ``_BLOCK_FLOATS`` floats each are allocated once per call
-and reused for every block, so memory does not grow with the batch size and
-no ``(rows, n, d)`` temporary is formed.  Each row is reduced on its own, so
-a batch gives the same bits as evaluating its rows one at a time.
+buffers of about ``_BLOCK_FLOATS`` floats each are allocated once per range
+of rows and reused for every block, so memory does not grow with the batch
+size and no ``(rows, n, d)`` temporary is formed.  A batch of at least
+``_SPLIT_PAIRS`` query x data pairs takes blocks of ``_SPLIT_BLOCK_FLOATS``
+and is split into contiguous ranges of whole blocks, one per usable CPU; the
+calling thread takes the first range and one thread per further CPU takes
+each of the others (``numpy.exp`` and the other ufuncs release the
+interpreter lock).  Each row is reduced on its own, so a batch gives the
+same bits as evaluating its rows one at a time, for any block size and any
+number of ranges.
 
 Smoothed cross-validation works on one condensed array of the n(n-1)/2
 squared pair distances, taken once per selection from direct differences
 (``scipy.spatial.distance.pdist``), so the selected bandwidth does not
 depend on where the sample sits.  Scores are sums of ``exp`` over that
 array in blocks of ``_BLOCK_FLOATS``, several variances per block, through
-one reused buffer: memory is n(n-1)/2 floats plus one block.
+one reused buffer, on the calling thread: memory is n(n-1)/2 floats plus one
+block.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +55,19 @@ __all__ = [
 ]
 
 # Floats per (rows, n) work buffer of blocked evaluation; two such buffers
-# (weights and scratch) fit in a per-core L2 cache.
+# (weights and scratch) fit in a per-core L2 cache.  The SCV pair sums use
+# the same block, whose grouping fixes the rounding of each score.
 _BLOCK_FLOATS = 32_768
+
+# Query x data pairs from which a batch is split across the usable CPUs.
+# Below it, a thread hand-off costs more than it saves.
+_SPLIT_PAIRS = 1 << 22
+
+# Floats per work buffer of a split batch.  At `_BLOCK_FLOATS` the cheap
+# in-place ufuncs are short enough that two threads wait on each other's
+# hand-off of the interpreter lock; smaller batches keep the smaller block,
+# which costs them fewer cache misses and page faults.
+_SPLIT_BLOCK_FLOATS = 65_536
 
 # Points of the coarse SCV grid over [h_ns / 10, 10 h_ns] and the
 # golden-section tolerance on log h.
@@ -169,18 +189,18 @@ def _as_queries(x, dim: int) -> tuple[np.ndarray, bool]:
     raise ValueError(f"query must be a point or an (m, d) batch, got ndim={arr.ndim}")
 
 
-def _kernel_blocks(cols: np.ndarray, h: float, queries: np.ndarray):
+def _kernel_blocks(cols: np.ndarray, h: float, queries: np.ndarray, rows: int):
     """Gaussian kernel weights of query rows against the data, block by block.
 
     `cols` is the data transposed to ``(d, n)`` with contiguous rows.  Yields
     ``(lo, hi, w, scratch)`` where ``w[i, k] = exp(-||q_{lo+i} - X_k||^2 / (2 h^2))``
-    for the query rows ``lo:hi`` and `scratch` is a free buffer of the same
-    shape for the caller's reductions.  Both buffers are reused: a block's
-    values are valid only until the next one is requested.
+    for the query rows ``lo:hi`` (at most `rows` of them) and `scratch` is a
+    free buffer of the same shape for the caller's reductions.  Both buffers
+    are reused: a block's values are valid only until the next one is
+    requested.
     """
     d, n = cols.shape
     m = queries.shape[0]
-    rows = max(1, min(m, _BLOCK_FLOATS // n))
     wbuf = np.empty((rows, n))
     sbuf = np.empty((rows, n))
     inv2h2 = -0.5 / (h * h)
@@ -198,6 +218,62 @@ def _kernel_blocks(cols: np.ndarray, h: float, queries: np.ndarray):
         yield lo, hi, w, scratch
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _reduce_kernel_blocks(cols: np.ndarray, h: float, queries: np.ndarray, reduce) -> None:
+    """Call ``reduce(lo, hi, w, scratch)`` on every block of `_kernel_blocks`.
+
+    `lo` and `hi` index the whole batch, and `reduce` must write only its
+    rows ``lo:hi``.  A batch of at least `_SPLIT_PAIRS` pairs is cut into
+    blocks of `_SPLIT_BLOCK_FLOATS` and, if there are two or more, into
+    contiguous ranges of whole blocks, one per usable CPU: the calling thread
+    reduces the first range and a thread of its own each further one, every
+    range with its own two buffers.  All threads are joined before an error
+    is raised; if several ranges fail, the error of the earliest one is
+    raised, so the lowest failing row is reported.
+    """
+    n = cols.shape[1]
+    m = queries.shape[0]
+    split = m * n >= _SPLIT_PAIRS
+    rows = max(1, min(m, (_SPLIT_BLOCK_FLOATS if split else _BLOCK_FLOATS) // n))
+    blocks = -(-m // rows)
+    workers = min(_usable_cpus(), blocks) if split else 1
+
+    def run(lo: int, hi: int) -> None:
+        for blo, bhi, w, scratch in _kernel_blocks(cols, h, queries[lo:hi], rows):
+            reduce(lo + blo, lo + bhi, w, scratch)
+
+    if workers < 2:
+        run(0, m)
+        return
+    per, extra = divmod(blocks, workers)
+    starts = [rows * (i * per + min(i, extra)) for i in range(workers)] + [m]
+    errors: list = [None] * workers
+
+    def run_range(i: int) -> None:
+        try:
+            run(starts[i], starts[i + 1])
+        except Exception as exc:  # raised again by the calling thread
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run_range, args=(i,)) for i in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        run(starts[0], starts[1])
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 def _kde_eval(data: np.ndarray, h: float, queries: np.ndarray, want_grad: bool):
     """Blocked evaluation of the estimate (and optionally its gradient)."""
     n, d = data.shape
@@ -207,13 +283,16 @@ def _kde_eval(data: np.ndarray, h: float, queries: np.ndarray, want_grad: bool):
     dens = np.empty(m)
     grad = np.empty((m, d)) if want_grad else None
     cols = np.ascontiguousarray(data.T)
-    for lo, hi, w, scratch in _kernel_blocks(cols, h, queries):
+
+    def reduce(lo, hi, w, scratch):
         dens[lo:hi] = w.sum(axis=1) * norm
         if want_grad:
             for j in range(d):
                 np.subtract(cols[j], queries[lo:hi, j, None], out=scratch)
                 np.multiply(scratch, w, out=scratch)
                 grad[lo:hi, j] = scratch.sum(axis=1) * gnorm
+
+    _reduce_kernel_blocks(cols, h, queries, reduce)
     return (dens, grad) if want_grad else dens
 
 

@@ -32,7 +32,7 @@ from .density import (
     PointCloud,
     _as_queries,
     _density_and_gradient,
-    _kernel_blocks,
+    _reduce_kernel_blocks,
 )
 
 __all__ = [
@@ -191,7 +191,8 @@ def empirical_step_weighted_mean(model: DensityModel, x):
     q, single = _as_queries(x, model.dim)
     cols = np.ascontiguousarray(model.data.points.T)
     out = np.empty_like(q)
-    for lo, hi, w, scratch in _kernel_blocks(cols, model.bandwidth, q):
+
+    def reduce(lo, hi, w, scratch):
         denom = w.sum(axis=1)
         bad = ~(np.isfinite(denom) & (denom > 0.0))
         if np.any(bad):
@@ -200,6 +201,8 @@ def empirical_step_weighted_mean(model: DensityModel, x):
         for j in range(cols.shape[0]):
             np.multiply(w, cols[j], out=scratch)
             out[lo:hi, j] = scratch.sum(axis=1) / denom
+
+    _reduce_kernel_blocks(cols, model.bandwidth, q, reduce)
     return out[0] if single else out
 
 

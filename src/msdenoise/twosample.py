@@ -164,11 +164,19 @@ def _pooled_permutation_stats(which, xa, ya, n_perm, rng):
     pooled = np.vstack([xa, ya])
     if which == "energy":
         matrix = cdist(pooled, pooled)
-        observed = energy_statistic(xa, ya)
     else:
         sigma = _median_pairwise(pooled)
         matrix = np.exp(cdist(pooled, pooled, "sqeuclidean") * (-0.5 / sigma**2))
-        observed = mmd2_biased(xa, ya, kernel_sigma=sigma)
+    # contiguous copies of the blocks hold the entries of the per-sample
+    # matrices that energy_statistic and mmd2_biased build, in the same
+    # layout, so their means (and the observed statistic) are the same bits
+    cross = np.ascontiguousarray(matrix[:n, n:]).mean()
+    within_x = np.ascontiguousarray(matrix[:n, :n]).mean()
+    within_y = np.ascontiguousarray(matrix[n:, n:]).mean()
+    if which == "energy":
+        observed = float(n * m / total * (2.0 * cross - within_x - within_y))
+    else:
+        observed = float(within_x + within_y - 2.0 * cross)
 
     row_tot = matrix.sum(axis=1)
     grand = float(row_tot.sum())

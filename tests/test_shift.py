@@ -1,6 +1,7 @@
 """Shift step, convergence trace, and denoising sweep tests."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from msdenoise import (
     density_at,
     empirical_step_weighted_mean,
     fit,
+    gradient_at,
     shift_step,
     shift_until_converged,
 )
@@ -246,6 +248,75 @@ def test_zero_density_index_in_later_block():
     with pytest.raises(ZeroDensityError) as exc:
         shift_step(ShiftOperator(m), batch)
     assert exc.value.index == 77
+
+
+def split_batches(monkeypatch, n, rows, workers):
+    """Force `rows`-row blocks and a split across `workers` ranges.
+
+    Returns a list that collects ``(thread, range rows)`` for every range
+    handed to `_kernel_blocks`.
+    """
+    monkeypatch.setattr(density, "_SPLIT_BLOCK_FLOATS", rows * n)
+    monkeypatch.setattr(density, "_SPLIT_PAIRS", 0)
+    monkeypatch.setattr(density, "_usable_cpus", lambda: workers)
+    seen = []
+    blocks = density._kernel_blocks
+
+    def spy(cols, h, queries, block_rows):
+        seen.append((threading.current_thread(), queries.shape[0]))
+        return blocks(cols, h, queries, block_rows)
+
+    monkeypatch.setattr(density, "_kernel_blocks", spy)
+    return seen
+
+
+@pytest.mark.parametrize("workers, ranges", [(2, [12, 8]), (3, [9, 6, 5])])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_split_batch_matches_serial_bit_for_bit(d, workers, ranges, monkeypatch):
+    """Seven blocks of 3 rows (the last one of 2) split unevenly across threads."""
+    rng = np.random.default_rng(70 + d)
+    n = 40
+    m = fit(rng.normal(size=(n, d)), 0.7)
+    op = ShiftOperator(m, tau=0.5)
+    q = rng.normal(size=(3 * 6 + 2, d))
+    perm = rng.permutation(q.shape[0])
+    evals = {
+        "density": lambda x: density_at(m, x),
+        "gradient": lambda x: gradient_at(m, x),
+        "weighted mean": lambda x: empirical_step_weighted_mean(m, x),
+        "ratio": lambda x: shift_step(op, x),
+    }
+    monkeypatch.setattr(density, "_BLOCK_FLOATS", 3 * n)
+    serial = {name: f(q) for name, f in evals.items()}
+    rowwise = {name: np.array([f(row) for row in q]) for name, f in evals.items()}
+    seen = split_batches(monkeypatch, n, 3, workers)
+    for name, f in evals.items():
+        seen.clear()
+        split = f(q)
+        assert sorted(size for _, size in seen) == sorted(ranges), name
+        assert len({thread for thread, _ in seen}) == workers, name
+        assert np.array_equal(split, serial[name]), name
+        assert np.array_equal(split, rowwise[name]), name
+        assert np.array_equal(f(q[perm]), split[perm]), name
+
+
+@pytest.mark.parametrize(
+    "workers, far, index",
+    [(2, [5, 14], 5), (3, [10, 16], 10), (2, [14], 14), (3, [17], 17)],
+)
+def test_split_batch_zero_density_reports_lowest_global_index(workers, far, index, monkeypatch):
+    rng = np.random.default_rng(9)
+    n = 40
+    m = fit(rng.normal(size=(n, 1)), 0.1)
+    batch = rng.normal(size=(3 * 6 + 2, 1))
+    batch[far] = 5000.0
+    split_batches(monkeypatch, n, 3, workers)
+    with pytest.raises(ZeroDensityError) as exc:
+        empirical_step_weighted_mean(m, batch)
+    assert exc.value.index == index
+    with pytest.raises(ZeroDensityError) as exc:
+        shift_step(ShiftOperator(m), batch)
+    assert exc.value.index == index
 
 
 def test_monotone_ascent_property():

@@ -111,6 +111,16 @@ class TestPermutationTest:
             assert fast.p_value == slow.p_value
             assert fast.statistic == slow.statistic
 
+    @pytest.mark.parametrize("n,m,d", [(137, 211, 2), (1000, 1300, 1)])
+    def test_pooled_observed_equals_direct_statistic(self, n, m, d):
+        # sizes at which a mean over the non-contiguous blocks of the pooled
+        # matrix rounds differently from the direct statistic
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(n, d))
+        y = rng.normal(0.2, 1.1, (m, d))
+        assert permutation_test("energy", x, y, n_perm=99).statistic == energy_statistic(x, y)
+        assert permutation_test("mmd", x, y, n_perm=99).statistic == mmd2_biased(x, y)
+
     def test_detects_mean_shift(self):
         rng = np.random.default_rng(7)
         x = rng.normal(0.0, 1.0, (80, 1))
