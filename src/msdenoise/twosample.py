@@ -150,17 +150,30 @@ def permutation_test(stat, x, y, n_perm=999, rng_seed=0, alpha=0.05) -> TestResu
     return TestResult(observed, p, n_perm, alpha, p <= alpha)
 
 
+# The pooled route holds at most two (n+m) x (n+m) float64 matrices at once
+# (the MMD kernel matrix while `exp` writes it; tracemalloc at n+m = 2000).
+# At this limit (n+m = 8192) each is 512 MiB, about 1 GiB together.
+_MAX_POOLED_FLOATS = 1 << 26
+
+
 def _pooled_permutation_stats(which, xa, ya, n_perm, rng):
     """Observed statistic plus all permuted values via pooled quadratic forms.
 
     For an indicator u of the X side, the three pair-sums over a symmetric
     matrix M are u'Mu, u'M(1-u) and (1-u)'M(1-u); each permutation then costs
-    one matrix-vector product, batched into a single GEMM.
+    one matrix-vector product, batched into a single GEMM.  A pooled matrix
+    of more than `_MAX_POOLED_FLOATS` entries raises ValueError before it is
+    allocated.
     """
     from scipy.spatial.distance import cdist
 
     n, m = xa.shape[0], ya.shape[0]
     total = n + m
+    if total * total > _MAX_POOLED_FLOATS:
+        raise ValueError(
+            f"the pooled permutation statistics build an (n+m) x (n+m) matrix; "
+            f"n+m={total} exceeds the limit of {_MAX_POOLED_FLOATS} entries"
+        )
     pooled = np.vstack([xa, ya])
     if which == "energy":
         matrix = cdist(pooled, pooled)

@@ -18,6 +18,7 @@ from msdenoise import (
     select_bandwidth_scv,
     standardize,
 )
+from msdenoise.synthetic import gen_gmm_1d
 
 
 def naive_density(data, h, x):
@@ -286,6 +287,66 @@ def test_scv_criterion_matches_naive_double_loop(monkeypatch, d):
     got = density._scv_criterion_factory(data, g)(hs)
     for h, value in zip(hs, got):
         assert value == pytest.approx(naive_scv_score(data, g, h), rel=1e-10)
+
+
+def _binned_scv_inputs():
+    rng = np.random.default_rng(30)
+    return {
+        "gmm": gen_gmm_1d(1000, rng_seed=31).points[:, 0],
+        "outlier": np.append(rng.normal(size=500), 1e4),
+        "cauchy": rng.standard_cauchy(1000),
+        "duplicates": np.repeat(rng.normal(size=100), 3),
+        "n10": rng.normal(size=10),
+    }
+
+
+@pytest.mark.parametrize("name", ["gmm", "outlier", "cauchy", "duplicates", "n10"])
+def test_scv_binned_criterion_matches_exact(name):
+    x = _binned_scv_inputs()[name]
+    g = select_bandwidth_normal_scale(x)
+    grid = np.geomspace(g / 10.0, g * 10.0, density._SCV_GRID)
+    binned = density._scv_binned_criterion_factory(x, g)(grid)
+    exact = density._scv_criterion_factory(x[:, None], g)(grid)
+    np.testing.assert_allclose(binned, exact, rtol=1e-5, atol=0)
+
+
+@pytest.mark.parametrize("name", ["gmm", "outlier", "cauchy", "duplicates", "n10"])
+def test_scv_binned_selection_matches_exact(monkeypatch, name):
+    x = _binned_scv_inputs()[name]
+    binned = select_bandwidth_scv(x)
+    monkeypatch.setattr(density, "_scv_binned_criterion_factory",
+                        lambda x, g: density._scv_criterion_factory(x[:, None], g))
+    assert binned == pytest.approx(select_bandwidth_scv(x), rel=2e-6)
+
+
+def test_scv_binned_memory_at_20k_points():
+    import tracemalloc
+
+    # the exact criterion would hold n(n-1)/2 floats, 1.6 GB here
+    x = np.random.default_rng(32).normal(size=20_000)
+    tracemalloc.start()
+    try:
+        h = select_bandwidth_scv(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    assert select_bandwidth_normal_scale(x) / 2.0 < h < select_bandwidth_normal_scale(x) * 2.0
+
+
+def test_scv_exact_size_limit_fails_before_pdist(monkeypatch):
+    import scipy.spatial.distance
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pair distances computed")
+
+    monkeypatch.setattr(scipy.spatial.distance, "pdist", refuse)
+    limit = density._MAX_SCV_PAIRS
+    n = math.isqrt(2 * limit) + 1  # the fewest points with more than `limit` pairs
+    assert (n - 1) * (n - 2) // 2 <= limit < n * (n - 1) // 2
+    data = np.random.default_rng(33).normal(size=(n, 2))
+    with pytest.raises(ValueError, match=f"n={n} exceeds the limit of {limit} pairs"):
+        select_bandwidth_scv(data)
 
 
 def test_scv_requires_ten_points():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from msdenoise import twosample
 from msdenoise.twosample import (
     PowerCurve,
     TestResult,
@@ -146,6 +147,22 @@ class TestPermutationTest:
             permutation_test("energy", x, y, n_perm=50)
         with pytest.raises(ValueError):
             permutation_test("median", x, y, n_perm=99)
+
+    @pytest.mark.parametrize("stat", ["energy", "mmd"])
+    def test_size_limit_fails_before_allocating(self, monkeypatch, stat):
+        import scipy.spatial.distance
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pairwise distances computed")
+
+        monkeypatch.setattr(scipy.spatial.distance, "cdist", refuse)
+        monkeypatch.setattr(scipy.spatial.distance, "pdist", refuse)
+        limit = twosample._MAX_POOLED_FLOATS
+        total = math.isqrt(limit) + 1
+        x = np.zeros((total // 2, 1))
+        y = np.ones((total - total // 2, 1))
+        with pytest.raises(ValueError, match=f"n\\+m={total} exceeds the limit of {limit} entries"):
+            permutation_test(stat, x, y, n_perm=99)
 
     def test_result_invariants(self):
         with pytest.raises(ValueError):
