@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .density import (
     DensityModel,
-    KernelSpec,
     PointCloud,
     StandardizeTransform,
     density_at,
@@ -47,7 +46,6 @@ from .anomaly import AnomalyReport, anomaly_scores, top_k
 __all__ = [
     "__version__",
     "PointCloud",
-    "KernelSpec",
     "DensityModel",
     "StandardizeTransform",
     "fit",

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityModel, PointCloud, fit, select_bandwidth_scv
-from .shift import ShiftOperator, ShiftTrace, _default_tol
+from .density import DensityModel, _as_cloud, fit, select_bandwidth_scv
+from .shift import ShiftOperator, ShiftTrace, _resolve_tol
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def anomaly_scores(data, model: DensityModel | None = None, tol=None,
     and keep their partial-path score: a long wandering path is itself
     evidence of anomaly.
     """
-    pts = data.points if isinstance(data, PointCloud) else PointCloud(data).points
+    pts = _as_cloud(data).points
     if model is None:
         model = fit(pts, select_bandwidth_scv(pts))
     op = ShiftOperator(model)
@@ -88,11 +88,7 @@ def anomaly_scores(data, model: DensityModel | None = None, tol=None,
         raise ValueError(f"data dimension {pts.shape[1]} != model dimension {op.dim}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if tol is None:
-        tol = _default_tol(op)
-    tol = float(tol)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    tol = _resolve_tol(op, tol)
 
     n = pts.shape[0]
     cur = pts.copy()

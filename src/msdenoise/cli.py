@@ -1,12 +1,14 @@
-"""Command line interface: dataset I/O and experiment orchestration.
+"""Command line interface: argument parsing and I/O only.
 
 Subcommands cover the full pipeline: `gen` writes synthetic datasets, `denoise`
 shifts a CSV of points, `cluster-eval` scores clustering before/after
 denoising, `twosample` runs the power-curve harnesses, `anomaly` ranks points
 by shift path length, and `theory` runs the Monte Carlo property checks and
-fails (exit 3) on violations.  Every run prints a JSON report that embeds its
-configuration and the package version; reruns with the same inputs and seed
-are byte-identical.
+fails (exit 3) on violations.  The experiments themselves live in the library
+(`clustering`, `twosample`, `anomaly`, `theory_lab`); this module reads CSVs
+and reference datasets, checks flags, and writes CSVs and reports.  Every run
+prints a JSON report that embeds its configuration and the package version;
+reruns with the same inputs and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .synthetic import _CASES
 
 
 class CliError(Exception):
@@ -172,11 +175,10 @@ def _print_report(report, path=None):
     sys.stdout.flush()
 
 
-def _resolve_bandwidth(spec, points):
-    from .density import select_bandwidth_scv
-
+def _parse_bandwidth(spec):
+    """A --h value: 'scv' or a positive number."""
     if spec == "scv":
-        return float(select_bandwidth_scv(points))
+        return spec
     try:
         h = float(spec)
     except ValueError:
@@ -186,152 +188,11 @@ def _resolve_bandwidth(spec, points):
     return h
 
 
-# ---------------------------------------------------------------------------
-# Synthetic cases (bullseye/spiral structures plus uniform background noise)
+def _resolve_bandwidth(spec, points):
+    from .density import select_bandwidth_scv
 
-_CASES = {
-    "bullseye1": ("bullseye", 500, 100, 6.5),
-    "bullseye2": ("bullseye", 500, 150, 6.5),
-    "bullseye3": ("bullseye", 500, 300, 6.5),
-    "spiral4": ("spiral", 300, 20, 0.8),
-    "spiral5": ("spiral", 300, 50, 0.8),
-    "spiral6": ("spiral", 300, 100, 0.8),
-}
-
-# Spectral graph settings per case family: (knn, affinity_sigma).  The graph
-# scale has to track the data scale: the bullseye spans a 13-unit box where a
-# unit-sigma dense affinity separates ring from eye, while the spiral lives in
-# a 1.6-unit box and needs a sparse neighbor graph so the cut follows the
-# arms.  Explicit --knn/--sigma flags override these.
-_CASE_SPECTRAL = {
-    "bullseye": (None, 1.0),
-    "spiral": (10, "auto"),
-}
-
-
-def _generate_case(case, rng):
-    from .synthetic import gen_bullseye, gen_spiral, gen_uniform_noise, with_noise
-
-    family, n0, n1, half = _CASES[case]
-    if family == "bullseye":
-        structure = gen_bullseye(n0, rng_seed=rng)
-    else:
-        structure = gen_spiral(n0, rng_seed=rng)
-    noise = gen_uniform_noise(n1, [-half, -half], [half, half], rng_seed=rng)
-    return with_noise(structure, noise)
-
-
-def _cluster_once(points, algo, k, seed, knn, sigma="auto"):
-    from . import clustering
-
-    if algo == "kmeans":
-        return clustering.kmeans(points, k, rng_seed=seed)
-    if algo == "spectral":
-        return clustering.spectral(points, k, affinity_sigma=sigma, knn=knn,
-                                   rng_seed=seed)
-    if algo == "hier":
-        return clustering.hierarchical(points, k)
-    raise CliError(f"unknown algorithm {algo!r}")
-
-
-def run_clustering_case(case, algo="spectral", k=2, n_reps=50, rng_seed=0,
-                        msd=True, knn=None, affinity_sigma=None,
-                        bandwidth="scv"):
-    """Before/after-denoising ARI over replicates of one synthetic case.
-
-    Each replicate draws a fresh structure+noise dataset, clusters it, then
-    denoises (one sweep, bandwidth as given) and clusters again.  ARI is
-    scored on the structure points only, since background noise has no true
-    cluster.  Spectral graph settings default per case family; the same
-    settings apply before and after so the comparison is like for like.
-    Returns per-replicate scores plus summary statistics.
-    """
-    from .clustering import ari
-    from .density import fit
-    from .shift import ShiftOperator
-    from .synthetic import _rng
-
-    if case not in _CASES:
-        raise CliError(f"unknown case {case!r}; choose from {sorted(_CASES)}")
-    if n_reps < 1:
-        raise CliError("--reps must be >= 1")
-    knn_default, sigma_default = _CASE_SPECTRAL[_CASES[case][0]]
-    if knn is None:
-        knn = knn_default
-    elif knn <= 0:
-        knn = None
-    sigma = sigma_default if affinity_sigma is None else affinity_sigma
-    before = np.empty(n_reps)
-    after = np.empty(n_reps) if msd else None
-    for rep in range(n_reps):
-        rng = _rng(rng_seed, rep)
-        labeled = _generate_case(case, rng)
-        pts = labeled.cloud.points
-        truth = labeled.labels
-        structure = truth < truth.max()  # noise carries the highest label
-        cluster_seed = int(rng.integers(2**62))
-        got = _cluster_once(pts, algo, k, cluster_seed, knn, sigma)
-        before[rep] = ari(got.labels[structure], truth[structure])
-        if msd:
-            h = _resolve_bandwidth(bandwidth, pts)
-            moved = ShiftOperator(fit(pts, h)).step(pts)
-            got2 = _cluster_once(moved, algo, k, cluster_seed, knn, sigma)
-            after[rep] = ari(got2.labels[structure], truth[structure])
-    return _summarize_ari(case, algo, k, n_reps, before, after)
-
-
-def _summarize_ari(name, algo, k, n_reps, before, after):
-    def sd(v):
-        return float(v.std(ddof=1)) if v.size > 1 else 0.0
-
-    out = {
-        "scenario": name,
-        "algo": algo,
-        "k": k,
-        "n_reps": n_reps,
-        "ari_before_mean": float(before.mean()),
-        "ari_before_sd": sd(before),
-        "ari_before": before.tolist(),
-    }
-    if after is not None:
-        out.update({
-            "ari_after_mean": float(after.mean()),
-            "ari_after_sd": sd(after),
-            "ari_after": after.tolist(),
-            "gap": float(after.mean() - before.mean()),
-        })
-    return out
-
-
-def run_dataset_eval(name, path, algo="spectral", k=None, n_reps=10, rng_seed=0,
-                     msd=True, bandwidth=None):
-    """Before/after-denoising ARI on a reference dataset with known labels.
-
-    The data is fixed, so replicates only vary the clustering seed.  Cluster
-    count and bandwidth default to the published per-dataset values.
-    """
-    from .clustering import ari
-    from .density import fit
-    from .shift import ShiftOperator
-    from .synthetic import _rng
-
-    cloud, labels = load_dataset(name, path, with_labels=True)
-    if labels is None:
-        raise CliError(f"{path}: dataset file has no label column to score against")
-    _, _, k_default, h_default = _DATASETS[name]
-    k = k_default if k is None else int(k)
-    pts = cloud.points
-    if msd:
-        h = h_default if bandwidth is None else _resolve_bandwidth(bandwidth, pts)
-        moved = ShiftOperator(fit(pts, h)).step(pts)
-    before = np.empty(n_reps)
-    after = np.empty(n_reps) if msd else None
-    for rep in range(n_reps):
-        seed = int(_rng(rng_seed, rep).integers(2**62))
-        before[rep] = ari(_cluster_once(pts, algo, k, seed, None).labels, labels)
-        if msd:
-            after[rep] = ari(_cluster_once(moved, algo, k, seed, None).labels, labels)
-    return _summarize_ari(name, algo, k, n_reps, before, after)
+    h = _parse_bandwidth(spec)
+    return select_bandwidth_scv(points) if h == "scv" else h
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +201,7 @@ def run_dataset_eval(name, path, algo="spectral", k=None, n_reps=10, rng_seed=0,
 
 def cmd_gen(args):
     from .synthetic import (
+        _generate_case,
         _rng,
         default_anomaly_scenario,
         gen_bullseye,
@@ -396,29 +258,37 @@ def cmd_denoise(args):
 
 
 def cmd_cluster_eval(args):
+    from .clustering import run_clustering_case, run_dataset_eval
+
     if args.reps < 1:
         raise CliError("--reps must be >= 1")
     if args.dataset:
         if not args.input:
             raise CliError("--dataset requires --input pointing at the CSV file")
-        payload = run_dataset_eval(args.dataset, args.input, algo=args.algo,
-                                   k=args.k, n_reps=args.reps, rng_seed=args.seed,
-                                   msd=args.msd, bandwidth=args.h)
+        cloud, labels = load_dataset(args.dataset, args.input, with_labels=True)
+        if labels is None:
+            raise CliError(f"{args.input}: dataset file has no label column to score against")
+        _, _, k_default, h_default = _DATASETS[args.dataset]
+        h = h_default
+        if args.msd and args.h is not None:
+            h = _parse_bandwidth(args.h)
+        payload = run_dataset_eval(args.dataset, cloud, labels,
+                                   k_default if args.k is None else args.k,
+                                   algo=args.algo, n_reps=args.reps,
+                                   rng_seed=args.seed, msd=args.msd, bandwidth=h)
     elif args.case:
-        k = 2 if args.k is None else args.k
-        sigma = None
-        if args.sigma is not None and args.sigma != "auto":
+        sigma = args.sigma
+        if sigma not in (None, "auto"):
             try:
-                sigma = float(args.sigma)
+                sigma = float(sigma)
             except ValueError:
-                raise CliError(f"--sigma must be a number or 'auto', got {args.sigma!r}")
-        elif args.sigma == "auto":
-            sigma = "auto"
-        payload = run_clustering_case(args.case, algo=args.algo, k=k,
+                raise CliError(f"--sigma must be a number or 'auto', got {sigma!r}")
+        h = _parse_bandwidth(args.h or "scv") if args.msd else "scv"
+        payload = run_clustering_case(args.case, algo=args.algo,
+                                      k=2 if args.k is None else args.k,
                                       n_reps=args.reps, rng_seed=args.seed,
                                       msd=args.msd, knn=args.knn,
-                                      affinity_sigma=sigma,
-                                      bandwidth=args.h or "scv")
+                                      affinity_sigma=sigma, bandwidth=h)
     else:
         raise CliError("pick a --case or a --dataset to evaluate")
     report = _report(args, **payload)
@@ -462,16 +332,19 @@ def cmd_anomaly(args):
         scenario = default_anomaly_scenario(rng_seed=args.seed)
         arr = scenario.cloud.points
         planted = np.flatnonzero(scenario.labels == scenario.labels.max())
+    rows = arr.shape[0]
+    if args.k > rows:
+        raise CliError(f"--k must be <= {rows}")
+    if args.k < 0:
+        raise CliError(f"k must be in 0..{rows}")
     h = _resolve_bandwidth(args.h, arr)
     model = fit(arr, h)
     report_obj = anomaly_scores(arr, model, max_iter=args.max_iter,
                                 keep_traces=args.traces_out is not None)
-    if args.k > len(report_obj):
-        raise CliError(f"--k must be <= {len(report_obj)}")
     top = top_k(report_obj, args.k)
     payload = {
         "bandwidth": h,
-        "rows": int(arr.shape[0]),
+        "rows": rows,
         "top_k": top.tolist(),
         "top_k_scores": report_obj.scores[top].tolist(),
         "n_nonconverged": int((~report_obj.converged).sum()),
@@ -487,91 +360,10 @@ def cmd_anomaly(args):
     return report, 0
 
 
-def _theory_payload(check, seed):
-    import msdenoise.theory_lab as lab
-
-    from .synthetic import _rng
-
-    if check == "ascent":
-        # many small random models, 10k (model, probe) pairs in total
-        from .density import fit as fit_model
-
-        rng = _rng(seed)
-        total = 0
-        violations = 0
-        for _ in range(20):
-            d = int(rng.integers(1, 4))
-            n = int(rng.integers(50, 400))
-            h = float(rng.uniform(0.2, 1.5))
-            model = fit_model(rng.normal(size=(n, d)), h)
-            probes = rng.normal(scale=2.0, size=(500, d))
-            violations += lab.monotone_ascent_audit(model, probes)
-            total += 500
-        return {"checks": {"no_violations": violations == 0},
-                "violations": violations, "evaluations": total}
-
-    gmm = lab.gmm_density()
-    if check == "t1":
-        spec = lab.gmm_level_spec(gmm)
-        rep = lab.mass_increase_curve(gmm, spec, [0.05, 0.1, 0.2, 0.4],
-                                      n_mc=200000, rng_seed=seed)
-        checks = {"no_violations": not rep.violations,
-                  "slope_in_band": 1.7 <= rep.slope <= 2.3,
-                  "mc_resolved": bool(rep.extras["mc_ok"])}
-        return {"checks": checks, "report": rep.to_dict()}
-    if check == "t2":
-        nrm = lab.standard_normal_density()
-        mode = lab.mode_density_ratio_curve(nrm, [0.0], [0.1, 0.2, 0.4], 0.05,
-                                            n_mc=200000, rng_seed=seed)
-        valley = lab.mode_density_ratio_curve(gmm, gmm.minima[0], [0.1, 0.15, 0.2],
-                                              0.05, n_mc=400000, rng_seed=seed,
-                                              kind="minimum")
-        checks = {"mode_slope_in_band": 1.6 <= mode.slope <= 2.4,
-                  "valley_ratio_below_one": bool(np.all(valley.values > 0.0)),
-                  "no_violations": not (mode.violations or valley.violations)}
-        return {"checks": checks, "mode": mode.to_dict(), "valley": valley.to_dict()}
-    if check == "t4":
-        spec = lab.gmm_level_spec(gmm)
-        rep = lab.empirical_population_gap(gmm, spec, [200, 800, 3200], h=0.3,
-                                           n_reps=20, rng_seed=seed)
-        checks = {"slope_in_band": -0.75 <= rep.slope <= -0.25}
-        return {"checks": checks, "report": rep.to_dict()}
-    if check == "t5":
-        rep = lab.multi_sweep_mode_growth(gmm, n_data=1000, h=0.25, sweeps=5,
-                                          n_mc=200000, rng_seed=seed)
-        checks = {"strictly_increasing_and_positive_rate":
-                  not rep.extras["violations"]}
-        return {"checks": checks, "report": rep.to_dict()}
-    if check == "t6":
-        spec = lab.gmm_level_spec(gmm)
-        scale_fam = lab.level_scale_family(gmm)
-        tilt_fam = lab.mixture_tilt_family()
-        deltas = [0.02, 0.04, 0.08, 0.16]
-        dens = lab.perturbation_response(tilt_fam, deltas, tau=0.3, probe=spec,
-                                         n_mc=200000, rng_seed=seed)
-        scale0 = lab.perturbation_response(scale_fam, deltas, tau=0.3, probe=spec,
-                                           n_mc=50000, rng_seed=seed)
-        step = lab.perturbation_response(scale_fam, deltas, tau=0.3, probe=spec,
-                                         n_mc=200000, rng_seed=seed,
-                                         situation="step")
-        samp = lab.perturbation_response(
-            scale_fam, deltas, tau=0.3, probe=spec, n_mc=200000, rng_seed=seed,
-            situation="sampling",
-            contaminant_sampler=lambda rng, n: rng.uniform(-3.0, 8.0, (n, 1)))
-        checks = {
-            "level_scaling_invariant": bool(np.all(scale0.values == 0.0)),
-            "density_slope_in_band": 0.7 <= dens.slope <= 1.3,
-            "step_slope_in_band": 0.7 <= step.slope <= 1.3,
-            "sampling_slope_in_band": 0.8 <= samp.slope <= 1.2,
-        }
-        return {"checks": checks, "density": dens.to_dict(),
-                "level_scale": scale0.to_dict(), "step": step.to_dict(),
-                "sampling": samp.to_dict()}
-    raise CliError(f"unknown check {check!r}")
-
-
 def cmd_theory(args):
-    payload = _theory_payload(args.check, args.seed)
+    import msdenoise.theory_lab as lab  # on demand: it loads scipy.optimize
+
+    payload = lab.run_check(args.check, args.seed)
     passed = all(payload["checks"].values())
     report = _report(args, passed=passed, **payload)
     return report, 0 if passed else 3

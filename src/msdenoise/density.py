@@ -50,7 +50,6 @@ import numpy as np
 
 __all__ = [
     "PointCloud",
-    "KernelSpec",
     "DensityModel",
     "StandardizeTransform",
     "fit",
@@ -134,36 +133,20 @@ class PointCloud:
         return self.size
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Kernel family plus its profile constant.
-
-    The profile constant ``c`` ties the gradient-ratio form of a shift step
-    to the weighted-mean form; for the gaussian family it is exactly 1 and
-    other values are rejected.
-    """
-
-    family: str = "gaussian"
-    c: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.family != "gaussian":
-            raise ValueError(f"unsupported kernel family {self.family!r}")
-        if self.c != 1.0:
-            raise ValueError("gaussian kernel has profile constant c = 1")
+def _as_cloud(data) -> PointCloud:
+    """`data` itself if it is a PointCloud, else a validated PointCloud of it."""
+    return data if isinstance(data, PointCloud) else PointCloud(data)
 
 
 @dataclass(frozen=True)
 class DensityModel:
-    """A fitted kernel density estimate: data cloud, bandwidth, kernel."""
+    """A fitted gaussian kernel density estimate: data cloud and bandwidth."""
 
     data: PointCloud
     bandwidth: float
-    kernel: KernelSpec = KernelSpec()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.data, PointCloud):
-            object.__setattr__(self, "data", PointCloud(self.data))
+        object.__setattr__(self, "data", _as_cloud(self.data))
         b = float(self.bandwidth)
         if not math.isfinite(b) or b <= 0.0:
             raise ValueError(f"bandwidth must be a positive finite real, got {self.bandwidth!r}")
@@ -180,10 +163,9 @@ class DensityModel:
         return gradient_at(self, x)
 
 
-def fit(data, bandwidth: float, kernel: KernelSpec = KernelSpec()) -> DensityModel:
+def fit(data, bandwidth: float) -> DensityModel:
     """Build a density model over `data` (PointCloud or array-like)."""
-    cloud = data if isinstance(data, PointCloud) else PointCloud(data)
-    return DensityModel(cloud, bandwidth, kernel)
+    return DensityModel(data, bandwidth)
 
 
 def _as_queries(x, dim: int) -> tuple[np.ndarray, bool]:
@@ -331,15 +313,15 @@ def gradient_at(model: DensityModel, x):
     return grad[0] if single else grad
 
 
-def _density_and_gradient(model: DensityModel, queries: np.ndarray):
-    """Single-pass batch evaluation used by shift operators."""
-    return _kde_eval(model.data.points, model.bandwidth, queries, want_grad=True)
-
-
-def _sample_sd(points: np.ndarray) -> np.ndarray:
+def _sample_sd(points: np.ndarray, undefined: str) -> np.ndarray:
+    """Per-coordinate sample sd (n-1 divisor); a zero sd raises, naming `undefined`."""
     if points.shape[0] < 2:
         raise ValueError("need at least 2 points to estimate spread")
-    return points.std(axis=0, ddof=1)
+    sd = points.std(axis=0, ddof=1)
+    if np.any(sd == 0.0):
+        bad = int(np.flatnonzero(sd == 0.0)[0])
+        raise ValueError(f"coordinate {bad} has zero spread; {undefined}")
+    return sd
 
 
 def select_bandwidth_normal_scale(data) -> float:
@@ -349,13 +331,9 @@ def select_bandwidth_normal_scale(data) -> float:
     is the mean of the per-coordinate sample standard deviations (n-1
     divisor).  Degenerate coordinates (zero spread) are rejected.
     """
-    cloud = data if isinstance(data, PointCloud) else PointCloud(data)
+    cloud = _as_cloud(data)
     n, d = cloud.size, cloud.dim
-    sd = _sample_sd(cloud.points)
-    if np.any(sd == 0.0):
-        bad = int(np.flatnonzero(sd == 0.0)[0])
-        raise ValueError(f"coordinate {bad} has zero spread; scale-based bandwidth undefined")
-    sigma = float(sd.mean())
+    sigma = float(_sample_sd(cloud.points, "scale-based bandwidth undefined").mean())
     return float((4.0 / (d + 2.0)) ** (1.0 / (d + 4.0)) * n ** (-1.0 / (d + 4.0)) * sigma)
 
 
@@ -484,7 +462,7 @@ def select_bandwidth_scv(data) -> float:
     Either way the result does not depend on where the sample sits.  Needs
     at least 10 points; rejects degenerate data.
     """
-    cloud = data if isinstance(data, PointCloud) else PointCloud(data)
+    cloud = _as_cloud(data)
     if cloud.size < 10:
         raise ValueError(f"smoothed CV needs at least 10 points, got {cloud.size}")
     h_ns = select_bandwidth_normal_scale(cloud)
@@ -536,13 +514,13 @@ class StandardizeTransform:
         object.__setattr__(self, "scale", s)
 
     def apply(self, data) -> PointCloud:
-        cloud = data if isinstance(data, PointCloud) else PointCloud(data)
+        cloud = _as_cloud(data)
         if cloud.dim != self.mean.shape[0]:
             raise ValueError(f"data dim {cloud.dim} does not match transform dim {self.mean.shape[0]}")
         return PointCloud((cloud.points - self.mean) / self.scale)
 
     def invert(self, data) -> PointCloud:
-        cloud = data if isinstance(data, PointCloud) else PointCloud(data)
+        cloud = _as_cloud(data)
         if cloud.dim != self.mean.shape[0]:
             raise ValueError(f"data dim {cloud.dim} does not match transform dim {self.mean.shape[0]}")
         return PointCloud(cloud.points * self.scale + self.mean)
@@ -554,10 +532,7 @@ def standardize(data) -> tuple[PointCloud, StandardizeTransform]:
     Uses the n-1 divisor.  Zero-spread coordinates are rejected rather than
     silently left unscaled.
     """
-    cloud = data if isinstance(data, PointCloud) else PointCloud(data)
-    sd = _sample_sd(cloud.points)
-    if np.any(sd == 0.0):
-        bad = int(np.flatnonzero(sd == 0.0)[0])
-        raise ValueError(f"coordinate {bad} has zero spread; cannot standardize")
+    cloud = _as_cloud(data)
+    sd = _sample_sd(cloud.points, "cannot standardize")
     t = StandardizeTransform(mean=cloud.points.mean(axis=0), scale=sd)
     return t.apply(cloud), t

@@ -1,13 +1,13 @@
 """Mean shift steps and iterated denoising.
 
 A shift operator pairs a density source ``f`` (a fitted kernel model or an
-analytic density) with a step scale ``tau`` and profile constant ``c``.
-One step moves a point by the log-gradient:
+analytic density) with a step scale ``tau``.  One step moves a point by the
+log-gradient:
 
-    x -> x + c * tau^2 * grad f(x) / f(x)
+    x -> x + tau^2 * grad f(x) / f(x)
 
-For a fitted gaussian model stepped at its own bandwidth (``tau = h``,
-``c = 1``) this is algebraically the kernel-weighted mean of the data,
+For a fitted gaussian model stepped at its own bandwidth (``tau = h``) this
+is algebraically the kernel-weighted mean of the data,
 
     x -> sum_i X_i K((x - X_i) / h) / sum_j K((x - X_j) / h),
 
@@ -30,8 +30,9 @@ import numpy as np
 from .density import (
     DensityModel,
     PointCloud,
+    _as_cloud,
     _as_queries,
-    _density_and_gradient,
+    _kde_eval,
     _reduce_kernel_blocks,
 )
 
@@ -105,32 +106,32 @@ Source = Union[DensityModel, AnalyticDensity]
 
 def _eval_source(source: Source, q: np.ndarray):
     if isinstance(source, DensityModel):
-        return _density_and_gradient(source, q)
+        return _kde_eval(source.data.points, source.bandwidth, q, want_grad=True)
     dens = np.asarray(source.density(q), dtype=float)
     grad = np.asarray(source.gradient(q), dtype=float)
     return dens, grad
 
 
-def _require_positive(dens: np.ndarray) -> None:
+def _require_positive(dens: np.ndarray, first_index: int = 0) -> None:
+    """Raise ZeroDensityError at the first entry that is not positive and finite."""
     bad = ~(np.isfinite(dens) & (dens > 0.0))
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
-        raise ZeroDensityError(i, float(dens[i]))
+        raise ZeroDensityError(first_index + i, float(dens[i]))
 
 
 @dataclass(frozen=True)
 class ShiftOperator:
-    """A mean shift map ``x -> x + c tau^2 grad f(x) / f(x)``.
+    """A mean shift map ``x -> x + tau^2 grad f(x) / f(x)``.
 
     `tau=None` defaults to the model bandwidth for fitted sources; analytic
     sources must state tau explicitly.  When the source is a fitted gaussian
-    model and ``tau`` equals its bandwidth with ``c = 1``, `step` uses the
-    weighted-mean form (identical values, guaranteed density ascent).
+    model and ``tau`` equals its bandwidth, `step` uses the weighted-mean
+    form (identical values, guaranteed density ascent).
     """
 
     source: Source
     tau: Optional[float] = None
-    c: float = 1.0
 
     def __post_init__(self) -> None:
         tau = self.tau
@@ -142,10 +143,7 @@ class ShiftOperator:
         tau = float(tau)
         if not math.isfinite(tau) or tau <= 0.0:
             raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
-        if not math.isfinite(self.c) or self.c <= 0.0:
-            raise ValueError(f"c must be positive and finite, got {self.c!r}")
         object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "c", float(self.c))
 
     @property
     def dim(self) -> int:
@@ -153,23 +151,12 @@ class ShiftOperator:
 
     @property
     def uses_weighted_mean(self) -> bool:
-        return (
-            isinstance(self.source, DensityModel)
-            and self.tau == self.source.bandwidth
-            and self.c == self.source.kernel.c
-        )
+        return isinstance(self.source, DensityModel) and self.tau == self.source.bandwidth
 
     def step(self, x):
         if self.uses_weighted_mean:
             return empirical_step_weighted_mean(self.source, x)
         return shift_step(self, x)
-
-    def density(self, x):
-        if isinstance(self.source, DensityModel):
-            return self.source.density_at(x)
-        q, single = _as_queries(x, self.dim)
-        dens = np.asarray(self.source.density(q), dtype=float)
-        return float(dens[0]) if single else dens
 
 
 def shift_step(op: ShiftOperator, x):
@@ -177,7 +164,7 @@ def shift_step(op: ShiftOperator, x):
     q, single = _as_queries(x, op.dim)
     dens, grad = _eval_source(op.source, q)
     _require_positive(dens)
-    out = q + (op.c * op.tau * op.tau) * grad / dens[:, None]
+    out = q + (op.tau * op.tau) * grad / dens[:, None]
     return out[0] if single else out
 
 
@@ -194,10 +181,7 @@ def empirical_step_weighted_mean(model: DensityModel, x):
 
     def reduce(lo, hi, w, scratch):
         denom = w.sum(axis=1)
-        bad = ~(np.isfinite(denom) & (denom > 0.0))
-        if np.any(bad):
-            i = int(np.flatnonzero(bad)[0])
-            raise ZeroDensityError(lo + i, float(denom[i]))
+        _require_positive(denom, lo)
         for j in range(cols.shape[0]):
             np.multiply(w, cols[j], out=scratch)
             out[lo:hi, j] = scratch.sum(axis=1) / denom
@@ -242,13 +226,23 @@ class ShiftTrace:
         return self.path[-1]
 
 
-def _default_tol(op: ShiftOperator) -> float:
-    if not isinstance(op.source, DensityModel):
-        raise ValueError("tol must be given explicitly for analytic sources")
-    pts = op.source.data.points
-    scale = float(pts.std(axis=0, ddof=1).mean()) if pts.shape[0] > 1 else 0.0
-    # single point or fully degenerate data: fall back to an absolute floor
-    return 1e-7 * scale if scale > 0.0 else 1e-7
+def _resolve_tol(op: ShiftOperator, tol: Optional[float]) -> float:
+    """`tol` checked to be positive and finite, or the default for `op`'s model.
+
+    The default is 1e-7 times the mean per-coordinate sample spread of the
+    model data; analytic sources have no default.
+    """
+    if tol is None:
+        if not isinstance(op.source, DensityModel):
+            raise ValueError("tol must be given explicitly for analytic sources")
+        pts = op.source.data.points
+        scale = float(pts.std(axis=0, ddof=1).mean()) if pts.shape[0] > 1 else 0.0
+        # single point or fully degenerate data: fall back to an absolute floor
+        return 1e-7 * scale if scale > 0.0 else 1e-7
+    tol = float(tol)
+    if not math.isfinite(tol) or tol <= 0.0:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    return tol
 
 
 def shift_until_converged(op: ShiftOperator, x, tol: Optional[float] = None,
@@ -261,11 +255,7 @@ def shift_until_converged(op: ShiftOperator, x, tol: Optional[float] = None,
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if tol is None:
-        tol = _default_tol(op)
-    tol = float(tol)
-    if not math.isfinite(tol) or tol <= 0.0:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    tol = _resolve_tol(op, tol)
     q, single = _as_queries(x, op.dim)
     if not single:
         raise ValueError("shift_until_converged takes a single point; use denoise for batches")
@@ -290,7 +280,7 @@ def denoise(data, op: ShiftOperator, sweeps: int = 1) -> PointCloud:
     """
     if int(sweeps) != sweeps or sweeps < 1:
         raise ValueError(f"sweeps must be a positive integer, got {sweeps!r}")
-    cloud = data if isinstance(data, PointCloud) else PointCloud(data)
+    cloud = _as_cloud(data)
     if cloud.dim != op.dim:
         raise ValueError(f"data dim {cloud.dim} does not match operator dim {op.dim}")
     positions = cloud.points

@@ -215,12 +215,7 @@ def plant_outliers(labeled: LabeledCloud, outliers) -> LabeledCloud:
 
 def with_noise(labeled: LabeledCloud, noise: PointCloud) -> LabeledCloud:
     """Append background noise points under a fresh dedicated label."""
-    if noise.dim != labeled.cloud.dim:
-        raise ValueError(f"noise dim {noise.dim} does not match cloud dim {labeled.cloud.dim}")
-    pts = np.vstack([labeled.cloud.points, noise.points])
-    tag = labeled.n_labels
-    labels = np.concatenate([labeled.labels, np.full(noise.size, tag, dtype=np.int64)])
-    return LabeledCloud(PointCloud(pts), labels)
+    return plant_outliers(labeled, noise.points)
 
 
 # Default anomaly scenario: three well-separated blobs of 200 points each
@@ -242,3 +237,26 @@ def default_anomaly_scenario(rng_seed: int = 0, outliers=ANOMALY_OUTLIERS) -> La
     """Three gaussian blobs (labels 0-2) plus planted outliers (label 3)."""
     blobs = gen_gmm_2d(ANOMALY_BLOB_MEANS, [ANOMALY_BLOB_SD] * 3, [200] * 3, rng_seed)
     return plant_outliers(blobs, outliers)
+
+
+# Named clustering cases: (structure family, structure size n0, uniform
+# background noise count n1, half-width of the square noise box).
+_CASES = {
+    "bullseye1": ("bullseye", 500, 100, 6.5),
+    "bullseye2": ("bullseye", 500, 150, 6.5),
+    "bullseye3": ("bullseye", 500, 300, 6.5),
+    "spiral4": ("spiral", 300, 20, 0.8),
+    "spiral5": ("spiral", 300, 50, 0.8),
+    "spiral6": ("spiral", 300, 100, 0.8),
+}
+
+
+def _generate_case(case, rng) -> LabeledCloud:
+    """One draw of a named case: its structure, then its noise, from `rng`."""
+    family, n0, n1, half = _CASES[case]
+    if family == "bullseye":
+        structure = gen_bullseye(n0, rng_seed=rng)
+    else:
+        structure = gen_spiral(n0, rng_seed=rng)
+    noise = gen_uniform_noise(n1, [-half, -half], [half, half], rng_seed=rng)
+    return with_noise(structure, noise)

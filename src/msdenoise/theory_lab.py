@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .density import DensityModel, PointCloud, density_at, fit
+from .density import DensityModel, _as_cloud, density_at, fit
 from .shift import (
     AnalyticDensity,
     ShiftOperator,
@@ -50,6 +50,7 @@ __all__ = [
     "perturbation_response",
     "monotone_ascent_audit",
     "multi_sweep_mode_growth",
+    "run_check",
 ]
 
 
@@ -300,24 +301,23 @@ def gmm_level_spec(density: AnalyticDensity, level: Optional[float] = None) -> L
 
 def level_set_mass(dist_sample, spec: LevelSetSpec) -> float:
     """Fraction of the sample inside the level set: a plain MC mass estimate."""
-    cloud = dist_sample if isinstance(dist_sample, PointCloud) else PointCloud(dist_sample)
-    return float(spec.contains(cloud.points).mean())
+    return float(spec.contains(_as_cloud(dist_sample).points).mean())
 
 
-def _admissible_h_sq(level: float, hess_sup: float, g0: float, c: float) -> float:
-    return min(3.0 * math.sqrt(2.0) * level / (c * hess_sup),
-               math.sqrt(2.0) * level * level / (c * g0 * g0))
+def _admissible_h_sq(level: float, hess_sup: float, g0: float) -> float:
+    return min(3.0 * math.sqrt(2.0) * level / hess_sup,
+               math.sqrt(2.0) * level * level / (g0 * g0))
 
 
 def mass_increase_curve(density: AnalyticDensity, spec: LevelSetSpec, h_grid: Sequence[float],
-                        n_mc: int, rng_seed: int = 0, c: float = 1.0) -> ScalingReport:
+                        n_mc: int, rng_seed: int = 0) -> ScalingReport:
     """Mass gained by a level set under one population shift, per step scale.
 
     One common sample feeds every h (paired estimates), so the reported
     differences share their Monte Carlo noise and the log-log slope is
     stable.  Negative mass changes beyond 3 standard errors are flagged in
     ``extras['violations']``.  Two variants of the first-order explicit
-    lower bound are reported: ``bound_plain`` (c h^2 g0 B / (6 sqrt 2), B =
+    lower bound are reported: ``bound_plain`` (h^2 g0 B / (6 sqrt 2), B =
     boundary point count) and the more aggressive ``bound_over_level`` which
     divides by the level; each gets an `_ok` flag.
     """
@@ -326,7 +326,7 @@ def mass_increase_curve(density: AnalyticDensity, spec: LevelSetSpec, h_grid: Se
         raise ValueError("h_grid must be positive and strictly increasing")
     if density.hess_sup is None or spec.gradient_floor is None:
         raise ValueError("admissibility guard needs hess_sup and gradient_floor")
-    h2max = _admissible_h_sq(spec.level, density.hess_sup, spec.gradient_floor, c)
+    h2max = _admissible_h_sq(spec.level, density.hess_sup, spec.gradient_floor)
     if float(h_grid.max()) ** 2 > h2max:
         raise ValueError(
             f"h={h_grid.max():g} outside the admissible range (h^2 <= {h2max:.4g}); "
@@ -341,7 +341,7 @@ def mass_increase_curve(density: AnalyticDensity, spec: LevelSetSpec, h_grid: Se
     n_boundary = 0 if spec.boundary_points is None else spec.boundary_points.shape[0]
     bound_plain, bound_over_level = [], []
     for h in h_grid:
-        op = ShiftOperator(density, tau=float(h), c=c)
+        op = ShiftOperator(density, tau=float(h))
         inside_after = spec.contains(op.step(x)).astype(float)
         d = inside_after - inside_before
         delta = float(d.mean())
@@ -350,7 +350,7 @@ def mass_increase_curve(density: AnalyticDensity, spec: LevelSetSpec, h_grid: Se
         ses.append(se)
         if delta < -3.0 * se:
             violations.append(f"mass decreased at h={h:g}: delta={delta:.3g}, se={se:.3g}")
-        base = c * h * h * spec.gradient_floor * n_boundary / (6.0 * math.sqrt(2.0))
+        base = h * h * spec.gradient_floor * n_boundary / (6.0 * math.sqrt(2.0))
         bound_plain.append(base)
         bound_over_level.append(base / spec.level)
 
@@ -379,7 +379,7 @@ def geometric_density_at(sample, x, radius: float) -> float:
     """Ball-count density estimate: points in B(x, radius) over n * ball volume."""
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    cloud = sample if isinstance(sample, PointCloud) else PointCloud(sample)
+    cloud = _as_cloud(sample)
     pts = cloud.points
     xv = np.asarray(x, dtype=float).reshape(1, -1)
     if xv.shape[1] != cloud.dim:
@@ -390,13 +390,9 @@ def geometric_density_at(sample, x, radius: float) -> float:
     return count / (cloud.size * vball)
 
 
-def _ball_count(points: np.ndarray, center: np.ndarray, radius: float) -> int:
-    return int((((points - center) ** 2).sum(axis=1) <= radius * radius).sum())
-
-
 def mode_density_ratio_curve(density: AnalyticDensity, mode, h_grid: Sequence[float],
                              ball_radius: float, n_mc: int, rng_seed: int = 0,
-                             c: float = 1.0, kind: str = "mode") -> ScalingReport:
+                             kind: str = "mode") -> ScalingReport:
     """Density change at a critical point under one population shift.
 
     Reports ratio - 1 at a mode (expected positive, Theta(h^2)) or 1 - ratio
@@ -416,10 +412,10 @@ def mode_density_ratio_curve(density: AnalyticDensity, mode, h_grid: Sequence[fl
     fm = float(np.asarray(density.density(m), dtype=float)[0])
     if density.hess_sup is None:
         raise ValueError("admissibility guard needs hess_sup")
-    if float(h_grid.max()) ** 2 >= fm / (c * density.hess_sup):
+    if float(h_grid.max()) ** 2 >= fm / density.hess_sup:
         raise ValueError(
             f"h={h_grid.max():g} outside the admissible range "
-            f"(h^2 < {fm / (c * density.hess_sup):.4g})"
+            f"(h^2 < {fm / density.hess_sup:.4g})"
         )
     sampler = _require_sampler(density)
     rng = _rng(rng_seed)
@@ -431,7 +427,7 @@ def mode_density_ratio_curve(density: AnalyticDensity, mode, h_grid: Sequence[fl
 
     gaps, ses, violations = [], [], []
     for h in h_grid:
-        op = ShiftOperator(density, tau=float(h), c=c)
+        op = ShiftOperator(density, tau=float(h))
         y = op.step(x)
         in_after = (((y - m) ** 2).sum(axis=1) <= ball_radius**2).astype(float)
         d = in_after - in_before
@@ -463,8 +459,7 @@ def mode_density_ratio_curve(density: AnalyticDensity, mode, h_grid: Sequence[fl
 
 def empirical_population_gap(density: AnalyticDensity, probe_set: LevelSetSpec,
                              n_grid: Sequence[int], h: float, n_reps: int,
-                             rng_seed: int = 0, n_pop: int = 20000,
-                             c: float = 1.0) -> ScalingReport:
+                             rng_seed: int = 0, n_pop: int = 20000) -> ScalingReport:
     """Sampling gap of the fitted operator on a probe set, per sample size.
 
     For each n: fit the operator on an n-sample, shift that same sample (the
@@ -483,7 +478,7 @@ def empirical_population_gap(density: AnalyticDensity, probe_set: LevelSetSpec,
         for rep in range(n_reps):
             rng = _rng(rng_seed, i, rep)
             data = sampler(rng, int(n))
-            op = ShiftOperator(fit(data, h), c=c)
+            op = ShiftOperator(fit(data, h))
             q_hat = float(probe_set.contains(op.step(data)).mean())
             pop = sampler(rng, int(n_pop))
             q_bar = float(probe_set.contains(op.step(pop)).mean())
@@ -573,7 +568,7 @@ def mixture_tilt_family(mix: float = 0.7, mu1: float = 0.0, mu2: float = 5.0,
 
 def perturbation_response(family: PerturbationFamily, deltas: Sequence[float], tau: float,
                           probe: LevelSetSpec, n_mc: int, rng_seed: int = 0,
-                          c: float = 1.0, situation: str = "density",
+                          situation: str = "density",
                           contaminant_sampler: Optional[Callable] = None) -> ScalingReport:
     """Linear response of the shifted mass to small perturbations.
 
@@ -596,14 +591,14 @@ def perturbation_response(family: PerturbationFamily, deltas: Sequence[float], t
     sampler = _require_sampler(family.base)
     rng = _rng(rng_seed)
     x = sampler(rng, int(n_mc))
-    base_op = ShiftOperator(family.base, tau=tau, c=c)
+    base_op = ShiftOperator(family.base, tau=tau)
     base_mass = float(probe.contains(base_op.step(x)).mean())
 
     values = np.empty(deltas.size)
     grid = np.empty(deltas.size)
     for i, d in enumerate(deltas):
         if situation == "density":
-            op = ShiftOperator(family.perturbed(float(d)), tau=tau, c=c)
+            op = ShiftOperator(family.perturbed(float(d)), tau=tau)
             mass = float(probe.contains(op.step(x)).mean())
             grid[i] = family.delta1(float(d))
         elif situation == "step":
@@ -611,7 +606,7 @@ def perturbation_response(family: PerturbationFamily, deltas: Sequence[float], t
                 values[i] = 0.0
                 grid[i] = 0.0
                 continue
-            op = ShiftOperator(family.base, tau=tau + float(d), c=c)
+            op = ShiftOperator(family.base, tau=tau + float(d))
             mass = float(probe.contains(op.step(x)).mean())
             grid[i] = float(d)
         else:
@@ -643,16 +638,16 @@ def perturbation_response(family: PerturbationFamily, deltas: Sequence[float], t
 def monotone_ascent_audit(model: DensityModel, probes) -> int:
     """Count probes whose estimated density drops (beyond 1e-12) after one
     weighted-mean step.  The contract is zero."""
-    cloud = probes if isinstance(probes, PointCloud) else PointCloud(probes)
-    stepped = empirical_step_weighted_mean(model, cloud.points)
-    before = density_at(model, cloud.points)
+    pts = _as_cloud(probes).points
+    stepped = empirical_step_weighted_mean(model, pts)
+    before = density_at(model, pts)
     after = density_at(model, stepped)
     return int(np.sum(after <= before - 1e-12))
 
 
 def multi_sweep_mode_growth(density: AnalyticDensity, n_data: int = 1000, h: float = 0.25,
                             sweeps: int = 5, n_mc: int = 200000, rng_seed: int = 0,
-                            ball_radius: Optional[float] = None, c: float = 1.0) -> ScalingReport:
+                            ball_radius: Optional[float] = None) -> ScalingReport:
     """Ball density at the operator's mode after N fixed-operator sweeps.
 
     Fits the operator on a data sample, locates its mode by converging from
@@ -679,18 +674,15 @@ def multi_sweep_mode_growth(density: AnalyticDensity, n_data: int = 1000, h: flo
     mode_hat = trace.end
     p_mode = float(np.asarray(density.density(mode_hat[None, :]), dtype=float)[0])
 
-    if float(h) ** 2 >= p_mode / (c * density.hess_sup):
+    if float(h) ** 2 >= p_mode / density.hess_sup:
         raise ValueError("h outside the admissible range at the mode")
 
-    op = ShiftOperator(model, tau=h, c=c)
-    pop = sampler(rng, int(n_mc))
-    d = density.dim
-    vball = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * ball_radius**d
-    dens_per_sweep = [_ball_count(pop, mode_hat, ball_radius) / (n_mc * vball)]
-    cur = pop
+    op = ShiftOperator(model, tau=h)
+    cur = sampler(rng, int(n_mc))
+    dens_per_sweep = [geometric_density_at(cur, mode_hat, ball_radius)]
     for _ in range(int(sweeps)):
         cur = op.step(cur)
-        dens_per_sweep.append(_ball_count(cur, mode_hat, ball_radius) / (n_mc * vball))
+        dens_per_sweep.append(geometric_density_at(cur, mode_hat, ball_radius))
     values = np.array(dens_per_sweep)
     grid = np.arange(sweeps + 1, dtype=float)
 
@@ -715,3 +707,87 @@ def multi_sweep_mode_growth(density: AnalyticDensity, n_data: int = 1000, h: flo
         "violations": violations,
     }
     return ScalingReport("multi_sweep_mode_growth", grid, values, slope, halfwidth, extras)
+
+
+# ---------------------------------------------------------------------------
+# the named checks, with their acceptance bands
+
+
+def run_check(check: str, seed: int) -> dict:
+    """Run check t1, t2, t4, t5, t6 or ascent at its fixed Monte Carlo budget.
+
+    Returns a dict whose ``checks`` maps each acceptance band to whether it
+    held, plus the reports it was judged on.
+    """
+    if check == "ascent":
+        rng = _rng(seed)
+        total = 0
+        violations = 0
+        for _ in range(20):
+            d = int(rng.integers(1, 4))
+            n = int(rng.integers(50, 400))
+            h = float(rng.uniform(0.2, 1.5))
+            model = fit(rng.normal(size=(n, d)), h)
+            probes = rng.normal(scale=2.0, size=(500, d))
+            violations += monotone_ascent_audit(model, probes)
+            total += 500
+        return {"checks": {"no_violations": violations == 0},
+                "violations": violations, "evaluations": total}
+
+    gmm = gmm_density()
+    if check == "t1":
+        spec = gmm_level_spec(gmm)
+        rep = mass_increase_curve(gmm, spec, [0.05, 0.1, 0.2, 0.4],
+                                  n_mc=200000, rng_seed=seed)
+        checks = {"no_violations": not rep.violations,
+                  "slope_in_band": 1.7 <= rep.slope <= 2.3,
+                  "mc_resolved": bool(rep.extras["mc_ok"])}
+        return {"checks": checks, "report": rep.to_dict()}
+    if check == "t2":
+        nrm = standard_normal_density()
+        mode = mode_density_ratio_curve(nrm, [0.0], [0.1, 0.2, 0.4], 0.05,
+                                        n_mc=200000, rng_seed=seed)
+        valley = mode_density_ratio_curve(gmm, gmm.minima[0], [0.1, 0.15, 0.2],
+                                          0.05, n_mc=400000, rng_seed=seed,
+                                          kind="minimum")
+        checks = {"mode_slope_in_band": 1.6 <= mode.slope <= 2.4,
+                  "valley_ratio_below_one": bool(np.all(valley.values > 0.0)),
+                  "no_violations": not (mode.violations or valley.violations)}
+        return {"checks": checks, "mode": mode.to_dict(), "valley": valley.to_dict()}
+    if check == "t4":
+        spec = gmm_level_spec(gmm)
+        rep = empirical_population_gap(gmm, spec, [200, 800, 3200], h=0.3,
+                                       n_reps=20, rng_seed=seed)
+        checks = {"slope_in_band": -0.75 <= rep.slope <= -0.25}
+        return {"checks": checks, "report": rep.to_dict()}
+    if check == "t5":
+        rep = multi_sweep_mode_growth(gmm, n_data=1000, h=0.25, sweeps=5,
+                                      n_mc=200000, rng_seed=seed)
+        checks = {"strictly_increasing_and_positive_rate":
+                  not rep.extras["violations"]}
+        return {"checks": checks, "report": rep.to_dict()}
+    if check == "t6":
+        spec = gmm_level_spec(gmm)
+        scale_fam = level_scale_family(gmm)
+        tilt_fam = mixture_tilt_family()
+        deltas = [0.02, 0.04, 0.08, 0.16]
+        dens = perturbation_response(tilt_fam, deltas, tau=0.3, probe=spec,
+                                     n_mc=200000, rng_seed=seed)
+        scale0 = perturbation_response(scale_fam, deltas, tau=0.3, probe=spec,
+                                       n_mc=50000, rng_seed=seed)
+        step = perturbation_response(scale_fam, deltas, tau=0.3, probe=spec,
+                                     n_mc=200000, rng_seed=seed, situation="step")
+        samp = perturbation_response(
+            scale_fam, deltas, tau=0.3, probe=spec, n_mc=200000, rng_seed=seed,
+            situation="sampling",
+            contaminant_sampler=lambda rng, n: rng.uniform(-3.0, 8.0, (n, 1)))
+        checks = {
+            "level_scaling_invariant": bool(np.all(scale0.values == 0.0)),
+            "density_slope_in_band": 0.7 <= dens.slope <= 1.3,
+            "step_slope_in_band": 0.7 <= step.slope <= 1.3,
+            "sampling_slope_in_band": 0.8 <= samp.slope <= 1.2,
+        }
+        return {"checks": checks, "density": dens.to_dict(),
+                "level_scale": scale0.to_dict(), "step": step.to_dict(),
+                "sampling": samp.to_dict()}
+    raise ValueError(f"unknown check {check!r}")

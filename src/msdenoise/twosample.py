@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import PointCloud
+from .density import _as_cloud
 from .synthetic import _rng, gen_gmm_1d
 
 # uniform contamination support for the noise experiment: covers the mixture
@@ -22,17 +22,8 @@ _NOISE_LOW = -3.0
 _NOISE_HIGH = 8.0
 
 
-def _as_sample(x, name) -> np.ndarray:
-    if isinstance(x, PointCloud):
-        return x.points
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError(f"{name} is empty")
-    return PointCloud(arr).points
-
-
 def _sample_pair(x, y):
-    xa, ya = _as_sample(x, "X"), _as_sample(y, "Y")
+    xa, ya = _as_cloud(x).points, _as_cloud(y).points
     if xa.shape[1] != ya.shape[1]:
         raise ValueError(f"dimension mismatch: {xa.shape[1]} vs {ya.shape[1]}")
     return xa, ya
@@ -215,7 +206,7 @@ def msd_pipeline(points) -> np.ndarray:
     from .density import fit, select_bandwidth_scv
     from .shift import ShiftOperator
 
-    pts = _as_sample(points, "sample")
+    pts = _as_cloud(points).points
     model = fit(pts, select_bandwidth_scv(pts))
     return ShiftOperator(model).step(pts)
 

@@ -12,8 +12,7 @@ import pytest
 
 import msdenoise.theory_lab as lab
 from msdenoise.anomaly import anomaly_scores, top_k
-from msdenoise.cli import run_clustering_case
-from msdenoise.clustering import ari
+from msdenoise.clustering import ari, run_clustering_case
 from msdenoise.density import fit
 from msdenoise.shift import ShiftOperator, empirical_step_weighted_mean, shift_step
 from msdenoise.synthetic import default_anomaly_scenario

@@ -134,5 +134,6 @@ def test_dimension_mismatch_and_bad_args():
         anomaly_scores(rng.normal(size=(5, 3)), model)
     with pytest.raises(ValueError):
         anomaly_scores(rng.normal(size=(5, 2)), model, max_iter=0)
-    with pytest.raises(ValueError):
-        anomaly_scores(rng.normal(size=(5, 2)), model, tol=-1.0)
+    for tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            anomaly_scores(rng.normal(size=(5, 2)), model, tol=tol)

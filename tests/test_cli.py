@@ -8,7 +8,6 @@ import sys
 import numpy as np
 import pytest
 
-from msdenoise import cli
 from msdenoise.cli import CliError, _read_csv, load_dataset, main
 
 
@@ -279,6 +278,20 @@ def test_anomaly_k_too_large(tmp_path):
     assert main(["anomaly", "--input", str(src), "--k", "5", "--h", "1.0"]) == 2
 
 
+@pytest.mark.parametrize("k", ["81", "-1"])
+def test_anomaly_k_checked_before_scoring(tmp_path, monkeypatch, k):
+    import msdenoise.anomaly
+
+    def fail(*args, **kwargs):
+        raise AssertionError("scored before --k was checked")
+
+    monkeypatch.setattr(msdenoise.anomaly, "anomaly_scores", fail)
+    monkeypatch.setattr(msdenoise.density, "select_bandwidth_scv", fail)
+    src = tmp_path / "pts.csv"
+    main(["gen", "--case", "bullseye", "--n0", "80", "--out", str(src), "--no-labels"])
+    assert main(["anomaly", "--input", str(src), "--k", k]) == 2
+
+
 # ---------------------------------------------------------------------------
 # theory
 
@@ -292,7 +305,9 @@ def test_theory_ascent_passes(tmp_path):
 
 
 def test_theory_failure_exits_three(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_theory_payload",
+    import msdenoise.theory_lab as lab
+
+    monkeypatch.setattr(lab, "run_check",
                         lambda check, seed: {"checks": {"forced": False}})
     code, rep = run_cli(tmp_path, ["theory", "--check", "t1"])
     assert code == 3

@@ -9,7 +9,6 @@ import pytest
 from msdenoise import density
 from msdenoise import (
     DensityModel,
-    KernelSpec,
     PointCloud,
     density_at,
     fit,
@@ -203,12 +202,55 @@ def test_point_cloud_is_immutable():
         pc.points[0, 0] = 5.0
 
 
-def test_kernel_spec_validation():
+def _point_entry_points():
+    """(name, call) for every public function that takes a sample of points."""
+    from msdenoise import theory_lab as lab
+    from msdenoise.anomaly import anomaly_scores
+    from msdenoise.clustering import hierarchical, kmeans, spectral
+    from msdenoise.shift import ShiftOperator, denoise
+    from msdenoise.twosample import energy_statistic, mmd2_biased, msd_pipeline, permutation_test
+
+    good = np.random.default_rng(0).normal(size=(12, 2))
+    model = fit(good, 1.0)
+    spec = lab.LevelSetSpec(density=lambda q: np.ones(len(q)), level=0.5)
+    return [
+        ("fit", lambda x: fit(x, 1.0)),
+        ("denoise", lambda x: denoise(x, ShiftOperator(model))),
+        ("select_bandwidth_normal_scale", select_bandwidth_normal_scale),
+        ("select_bandwidth_scv", select_bandwidth_scv),
+        ("standardize", standardize),
+        ("kmeans", lambda x: kmeans(x, 2)),
+        ("spectral", lambda x: spectral(x, 2)),
+        ("hierarchical", lambda x: hierarchical(x, 2)),
+        ("energy_statistic", lambda x: energy_statistic(good, x)),
+        ("mmd2_biased", lambda x: mmd2_biased(x, good)),
+        ("permutation_test", lambda x: permutation_test("energy", x, good, n_perm=99)),
+        ("msd_pipeline", msd_pipeline),
+        ("anomaly_scores", lambda x: anomaly_scores(x, model)),
+        ("level_set_mass", lambda x: lab.level_set_mass(x, spec)),
+        ("geometric_density_at", lambda x: lab.geometric_density_at(x, [0.0, 0.0], 1.0)),
+        ("monotone_ascent_audit", lambda x: lab.monotone_ascent_audit(model, x)),
+    ]
+
+
+@pytest.mark.parametrize("case", ["nan_row", "empty"])
+@pytest.mark.parametrize("name", [name for name, _ in _point_entry_points()])
+def test_point_entry_points_reject_bad_samples(name, case):
+    call = dict(_point_entry_points())[name]
+    if case == "empty":
+        bad = np.empty((0, 2))
+    else:
+        bad = np.random.default_rng(1).normal(size=(12, 2))
+        bad[4] = np.nan
     with pytest.raises(ValueError):
-        KernelSpec(family="tophat")
-    with pytest.raises(ValueError):
-        KernelSpec(c=2.0)
-    assert KernelSpec().c == 1.0
+        call(bad)
+
+
+def test_as_cloud_returns_a_cloud_itself():
+    cloud = PointCloud([[1.0, 2.0], [3.0, 4.0]])
+    assert density._as_cloud(cloud) is cloud
+    made = density._as_cloud([[1.0, 2.0]])
+    assert isinstance(made, PointCloud) and made.points.shape == (1, 2)
 
 
 def test_query_dimension_mismatch():

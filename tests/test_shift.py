@@ -351,8 +351,6 @@ def test_operator_validation():
     with pytest.raises(ValueError):
         ShiftOperator(m, tau=-0.1)
     with pytest.raises(ValueError):
-        ShiftOperator(m, c=0.0)
-    with pytest.raises(ValueError):
         shift_until_converged(ShiftOperator(standard_normal_1d(), tau=0.3), [1.0])  # analytic needs tol
 
 
