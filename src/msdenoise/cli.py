@@ -269,9 +269,8 @@ def cmd_cluster_eval(args):
         if labels is None:
             raise CliError(f"{args.input}: dataset file has no label column to score against")
         _, _, k_default, h_default = _DATASETS[args.dataset]
-        h = h_default
-        if args.msd and args.h is not None:
-            h = _parse_bandwidth(args.h)
+        # a malformed --h fails even with --no-msd, which leaves it unused
+        h = h_default if args.h is None else _parse_bandwidth(args.h)
         payload = run_dataset_eval(args.dataset, cloud, labels,
                                    k_default if args.k is None else args.k,
                                    algo=args.algo, n_reps=args.reps,
@@ -283,7 +282,7 @@ def cmd_cluster_eval(args):
                 sigma = float(sigma)
             except ValueError:
                 raise CliError(f"--sigma must be a number or 'auto', got {sigma!r}")
-        h = _parse_bandwidth(args.h or "scv") if args.msd else "scv"
+        h = _parse_bandwidth(args.h or "scv")
         payload = run_clustering_case(args.case, algo=args.algo,
                                       k=2 if args.k is None else args.k,
                                       n_reps=args.reps, rng_seed=args.seed,
@@ -337,6 +336,8 @@ def cmd_anomaly(args):
         raise CliError(f"--k must be <= {rows}")
     if args.k < 0:
         raise CliError(f"k must be in 0..{rows}")
+    if args.max_iter < 1:
+        raise CliError("--max-iter must be >= 1")
     h = _resolve_bandwidth(args.h, arr)
     model = fit(arr, h)
     report_obj = anomaly_scores(arr, model, max_iter=args.max_iter,

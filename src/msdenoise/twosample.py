@@ -5,6 +5,15 @@ squared maximum mean discrepancy under a gaussian kernel.  Calibration is by
 random permutation of the pooled sample with the add-one p-value convention.
 Power-curve harnesses rerun the tests over contamination grids, optionally
 applying one empirical mean shift sweep to each sample first.
+
+One-dimensional energy statistics come from the sorted pooled sample of
+N = n + m values (the O(N log N) identity of Huo & Szekely 2016; Szekely &
+Rizzo 2013): the sum of |a - b| over the ordered pairs of a set is
+2 sum_k z_(k) (2k - 1 - size) over its members in sorted order.  So the 1-D
+energy statistic and its permutation test build no pairwise matrix and hold
+O(N) numbers per permutation, in blocks of `_PERM_BLOCK` permutations.
+Energy for d >= 2 and MMD evaluate every permuted statistic from one pooled
+N x N matrix.
 """
 
 from __future__ import annotations
@@ -34,15 +43,57 @@ def energy_statistic(x, y) -> float:
 
     (nm/(n+m)) * (2 mean||Xi-Yj|| - mean||Xi-Xi'|| - mean||Yj-Yj'||), with the
     within-sample means taken over all ordered pairs including the diagonal.
+    Samples in one dimension are scored in sorted order, without distances.
     """
-    from scipy.spatial.distance import cdist
-
     xa, ya = _sample_pair(x, y)
     n, m = xa.shape[0], ya.shape[0]
+    if xa.shape[1] == 1:
+        z, rank = _sorted_pool(xa, ya)
+        return float(_sorted_energy(z, rank[np.newaxis], n)[0])
+    from scipy.spatial.distance import cdist
+
     cross = cdist(xa, ya).mean()
     within_x = cdist(xa, xa).mean()
     within_y = cdist(ya, ya).mean()
     return float(n * m / (n + m) * (2.0 * cross - within_x - within_y))
+
+
+def _sorted_pool(xa, ya):
+    """Sorted pooled 1-D values less the median element, and each row's rank.
+
+    rank[i] is the position of pooled row i (X rows first) in sorted order.
+    """
+    pooled = np.concatenate([xa[:, 0], ya[:, 0]])
+    order = np.argsort(pooled)
+    z = pooled[order]
+    z -= z[(z.size - 1) // 2]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return z, rank
+
+
+def _ordered_pair_sums(values):
+    """Sum of |a - b| over the ordered pairs of each sorted row of `values`."""
+    size = values.shape[-1]
+    weights = np.arange(1 - size, size, 2, dtype=np.float64)  # 2k - 1 - size
+    return 2.0 * (values * weights).sum(axis=-1)
+
+
+def _sorted_energy(z, ranks, n):
+    """1-D energy statistics of the splits in the rows of `ranks`.
+
+    `z` is the sorted pooled sample; each row of `ranks` lists sorted
+    positions, its first n those of the X side.  The cross sum comes from
+    the grand sum, so each split costs two row sorts and two dot products.
+    Each row's sums depend only on the values of its two sides, so a split
+    scores the same bits in any block and as a direct statistic.
+    """
+    total = z.size
+    m = total - n
+    s_xx = _ordered_pair_sums(z[np.sort(ranks[:, :n], axis=1)])
+    s_yy = _ordered_pair_sums(z[np.sort(ranks[:, n:], axis=1)])
+    s_xy = 0.5 * (_ordered_pair_sums(z) - s_xx - s_yy)
+    return n * m / total * (2.0 * s_xy / (n * m) - s_xx / n**2 - s_yy / m**2)
 
 
 def _median_pairwise(pooled) -> float:
@@ -110,11 +161,13 @@ def permutation_test(stat, x, y, n_perm=999, rng_seed=0, alpha=0.05) -> TestResu
     """Permutation two-sample test for a statistic that grows under H1.
 
     `stat` is either a callable (X, Y) -> float or one of the strings
-    "energy" / "mmd", which select a pooled-matrix evaluation that computes
-    every permuted statistic with two matrix products.  Both routes draw the
-    same permutations in the same order from the seeded generator, so they
-    are interchangeable.  p = (1 + #{permuted >= observed}) / (1 + n_perm);
-    reject when p <= alpha.
+    "energy" / "mmd".  For 1-D samples, "energy" scores every permutation in
+    sorted order, in O(N) memory per permutation and with the same bits as
+    the callable `energy_statistic`; otherwise the strings select a
+    pooled-matrix evaluation that computes every permuted statistic with two
+    matrix products.  All routes draw the same permutations in the same order
+    from the seeded generator, so they are interchangeable.
+    p = (1 + #{permuted >= observed}) / (1 + n_perm); reject when p <= alpha.
     """
     xa, ya = _sample_pair(x, y)
     if n_perm < 99:
@@ -132,13 +185,38 @@ def permutation_test(stat, x, y, n_perm=999, rng_seed=0, alpha=0.05) -> TestResu
             if float(stat(pooled[perm[:n]], pooled[perm[n:]])) >= observed:
                 exceed += 1
     elif stat in ("energy", "mmd"):
-        observed, perm_stats = _pooled_permutation_stats(stat, xa, ya, n_perm, rng)
+        if stat == "energy" and xa.shape[1] == 1:
+            observed = energy_statistic(xa, ya)
+            perm_stats = _sorted_permutation_stats(xa, ya, n_perm, rng)
+        else:
+            observed, perm_stats = _pooled_permutation_stats(stat, xa, ya, n_perm, rng)
         exceed = int((perm_stats >= observed).sum())
     else:
         raise ValueError("stat must be callable, 'energy', or 'mmd'")
 
     p = (1.0 + exceed) / (1.0 + n_perm)
     return TestResult(observed, p, n_perm, alpha, p <= alpha)
+
+
+# Permutations drawn and scored together by the 1-D energy route: its index
+# and value buffers hold _PERM_BLOCK x (n+m) entries.
+_PERM_BLOCK = 64
+
+
+def _sorted_permutation_stats(xa, ya, n_perm, rng):
+    """Every permuted 1-D energy statistic, scored in sorted order.
+
+    Each draw `rng.permutation(n+m)` is mapped through the sorted ranks of
+    the pooled sample, in blocks of `_PERM_BLOCK` draws.
+    """
+    n, total = xa.shape[0], xa.shape[0] + ya.shape[0]
+    z, rank = _sorted_pool(xa, ya)
+    stats = np.empty(n_perm)
+    for lo in range(0, n_perm, _PERM_BLOCK):
+        hi = min(lo + _PERM_BLOCK, n_perm)
+        ranks = rank[np.stack([rng.permutation(total) for _ in range(lo, hi)])]
+        stats[lo:hi] = _sorted_energy(z, ranks, n)
+    return stats
 
 
 # The pooled route holds at most two (n+m) x (n+m) float64 matrices at once

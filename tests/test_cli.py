@@ -210,6 +210,15 @@ def test_cluster_eval_usage_errors(tmp_path):
                  "--sigma", "wat"]) == 2
 
 
+@pytest.mark.parametrize("h,code", [("wat", 2), ("-1", 2), ("0.3", 0), ("scv", 0)])
+def test_cluster_eval_no_msd_still_parses_h(tmp_path, h, code):
+    got, rep = run_cli(tmp_path, ["cluster-eval", "--case", "spiral4", "--reps", "1",
+                                  "--no-msd", "--h", h])
+    assert got == code
+    if code == 0:
+        assert rep["config"]["h"] == h and "ari_after" not in rep
+
+
 # ---------------------------------------------------------------------------
 # twosample
 
@@ -290,6 +299,20 @@ def test_anomaly_k_checked_before_scoring(tmp_path, monkeypatch, k):
     src = tmp_path / "pts.csv"
     main(["gen", "--case", "bullseye", "--n0", "80", "--out", str(src), "--no-labels"])
     assert main(["anomaly", "--input", str(src), "--k", k]) == 2
+
+
+def test_anomaly_max_iter_checked_before_bandwidth_selection(monkeypatch):
+    import msdenoise.density
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("bandwidth selected before --max-iter was checked")
+
+    monkeypatch.setattr(msdenoise.density, "select_bandwidth_scv", spy)
+    assert main(["anomaly", "--max-iter", "0"]) == 2
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,18 @@ class TestMMD:
             mmd2_biased([0.0], [1.0], kernel_sigma=0.0)
 
 
+@pytest.fixture(scope="module")
+def sorted_cases():
+    """1-D sample pairs for the sorted energy route: uneven sizes, ties, an offset."""
+    rng = np.random.default_rng(17)
+    cases = [(rng.normal(size=(n, 1)), rng.normal(0.3, 1.2, (m, 1)))
+             for n, m in ((1, 7), (137, 211), (1000, 1300))]
+    cases.append((rng.integers(0, 6, (300, 1)).astype(float),
+                  rng.integers(1, 7, (250, 1)).astype(float)))
+    cases.append((1e6 + rng.normal(size=(400, 1)), 1e6 + rng.normal(0.2, 1.0, (350, 1))))
+    return cases
+
+
 class TestPermutationTest:
     def test_constant_statistic_p_one(self):
         rng = np.random.default_rng(0)
@@ -103,14 +115,28 @@ class TestPermutationTest:
         ("mmd", lambda a, b: mmd2_biased(a, b)),
     ])
     def test_pooled_route_matches_generic(self, name, func):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(25, 2))
-        y = rng.normal(0.3, 1.1, (30, 2))
-        for seed in (0, 1):
-            fast = permutation_test(name, x, y, n_perm=199, rng_seed=seed)
-            slow = permutation_test(func, x, y, n_perm=199, rng_seed=seed)
-            assert fast.p_value == slow.p_value
-            assert fast.statistic == slow.statistic
+        # d = 1 takes the sorted route for energy
+        for d in (2, 1):
+            rng = np.random.default_rng(6)
+            x = rng.normal(size=(25, d))
+            y = rng.normal(0.3, 1.1, (30, d))
+            for seed in (0, 1):
+                fast = permutation_test(name, x, y, n_perm=199, rng_seed=seed)
+                slow = permutation_test(func, x, y, n_perm=199, rng_seed=seed)
+                assert fast.p_value == slow.p_value
+                assert fast.statistic == slow.statistic
+
+    @pytest.mark.parametrize("n,m", [(137, 211), (1000, 1300)])
+    def test_sorted_route_matches_generic(self, n, m):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(n, 1))
+        # a shift small enough that many permuted values sit near the observed
+        y = rng.normal(0.05, 1.0, (m, 1))
+        fast = permutation_test("energy", x, y, n_perm=199, rng_seed=4)
+        slow = permutation_test(energy_statistic, x, y, n_perm=199, rng_seed=4)
+        assert 0.01 < fast.p_value < 1.0
+        assert fast.p_value == slow.p_value
+        assert fast.statistic == slow.statistic
 
     @pytest.mark.parametrize("n,m,d", [(137, 211, 2), (1000, 1300, 1)])
     def test_pooled_observed_equals_direct_statistic(self, n, m, d):
@@ -121,6 +147,42 @@ class TestPermutationTest:
         y = rng.normal(0.2, 1.1, (m, d))
         assert permutation_test("energy", x, y, n_perm=99).statistic == energy_statistic(x, y)
         assert permutation_test("mmd", x, y, n_perm=99).statistic == mmd2_biased(x, y)
+
+    def test_sorted_statistics_match_long_double_oracle(self, sorted_cases):
+        def oracle(a, b):
+            a = a[:, 0].astype(np.longdouble)
+            b = b[:, 0].astype(np.longdouble)
+
+            def mean_abs(u, v):
+                return np.abs(u[:, None] - v[None, :]).mean()
+
+            n, m = a.size, b.size
+            return n * m / (n + m) * (2 * mean_abs(a, b) - mean_abs(a, a) - mean_abs(b, b))
+
+        for x, y in sorted_cases:
+            n, total = x.shape[0], x.shape[0] + y.shape[0]
+            want = oracle(x, y)
+            assert abs(energy_statistic(x, y) - want) <= 1e-10 * abs(want)
+            got = twosample._sorted_permutation_stats(x, y, 3, np.random.default_rng(0))
+            rng = np.random.default_rng(0)
+            pooled = np.vstack([x, y])
+            for stat in got:
+                perm = rng.permutation(total)
+                want = oracle(pooled[perm[:n]], pooled[perm[n:]])
+                assert abs(stat - want) <= 1e-10 * abs(want)
+
+    def test_sorted_permutations_match_pooled_route(self, sorted_cases):
+        for x, y in sorted_cases:
+            rng_sorted = np.random.default_rng(21)
+            rng_pooled = np.random.default_rng(21)
+            got = twosample._sorted_permutation_stats(x, y, 199, rng_sorted)
+            observed, want = twosample._pooled_permutation_stats("energy", x, y, 199,
+                                                                 rng_pooled)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+            # no permuted value crosses the observed one between the routes
+            assert np.array_equal(got >= energy_statistic(x, y), want >= observed)
+            # the same draws, in the same order, from the same generator
+            assert rng_sorted.bit_generator.state == rng_pooled.bit_generator.state
 
     def test_detects_mean_shift(self):
         rng = np.random.default_rng(7)
@@ -159,10 +221,27 @@ class TestPermutationTest:
         monkeypatch.setattr(scipy.spatial.distance, "pdist", refuse)
         limit = twosample._MAX_POOLED_FLOATS
         total = math.isqrt(limit) + 1
-        x = np.zeros((total // 2, 1))
-        y = np.ones((total - total // 2, 1))
+        d = 2 if stat == "energy" else 1  # 1-D energy builds no pooled matrix
+        x = np.zeros((total // 2, d))
+        y = np.ones((total - total // 2, d))
         with pytest.raises(ValueError, match=f"n\\+m={total} exceeds the limit of {limit} entries"):
             permutation_test(stat, x, y, n_perm=99)
+
+    def test_1d_energy_above_pooled_limit_needs_no_distances(self, monkeypatch):
+        import scipy.spatial.distance
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pairwise distances computed")
+
+        monkeypatch.setattr(scipy.spatial.distance, "cdist", refuse)
+        monkeypatch.setattr(scipy.spatial.distance, "pdist", refuse)
+        total = math.isqrt(twosample._MAX_POOLED_FLOATS) + 1
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(total // 2, 1))
+        y = rng.normal(0.5, 1.0, (total - total // 2, 1))
+        res = permutation_test("energy", x, y, n_perm=99)
+        assert res.statistic == energy_statistic(x, y)
+        assert res.p_value == 0.01
 
     def test_result_invariants(self):
         with pytest.raises(ValueError):
