@@ -69,6 +69,13 @@ class AnomalyReport:
                     fh.write(f"{i},{s},{coords}\n")
 
 
+# anomaly_scores keeps one n-vector of step lengths per iteration and, with
+# keep_traces, the n x d positions before the first and after every
+# iteration; both are stacked into one array at the end, which briefly holds
+# them twice.  At this limit the records alone are 512 MiB.
+_MAX_RECORD_FLOATS = 1 << 26
+
+
 def anomaly_scores(data, model: DensityModel | None = None, tol=None,
                    max_iter: int = 500, keep_traces: bool = False) -> AnomalyReport:
     """Score every point by its total mean shift path length.
@@ -78,19 +85,29 @@ def anomaly_scores(data, model: DensityModel | None = None, tol=None,
     advanced together, each dropping out once its step length falls under
     tol.  Points still moving after max_iter steps are flagged unconverged
     and keep their partial-path score: a long wandering path is itself
-    evidence of anomaly.
+    evidence of anomaly.  If max_iter x n step lengths, plus (max_iter + 1)
+    x n x d positions with keep_traces, would exceed `_MAX_RECORD_FLOATS`
+    floats, ValueError is raised before any of them is allocated.
     """
     pts = _as_cloud(data).points
+    n, d = pts.shape
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    records = max_iter * n + ((max_iter + 1) * n * d if keep_traces else 0)
+    if records > _MAX_RECORD_FLOATS:
+        kept = "step lengths and positions" if keep_traces else "step lengths"
+        raise ValueError(
+            f"anomaly_scores keeps the {kept} of every iteration; max_iter={max_iter} "
+            f"over n={n} points needs up to {records} floats, over the limit of "
+            f"{_MAX_RECORD_FLOATS}"
+        )
     if model is None:
         model = fit(pts, select_bandwidth_scv(pts))
     op = ShiftOperator(model)
-    if pts.shape[1] != op.dim:
-        raise ValueError(f"data dimension {pts.shape[1]} != model dimension {op.dim}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    if d != op.dim:
+        raise ValueError(f"data dimension {d} != model dimension {op.dim}")
     tol = _resolve_tol(op, tol)
 
-    n = pts.shape[0]
     cur = pts.copy()
     converged = np.zeros(n, dtype=bool)
     end_step = np.zeros(n, dtype=np.int64)

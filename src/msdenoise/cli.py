@@ -362,7 +362,7 @@ def cmd_anomaly(args):
 
 
 def cmd_theory(args):
-    import msdenoise.theory_lab as lab  # on demand: it loads scipy.optimize
+    import msdenoise.theory_lab as lab  # on demand, like the other experiment modules
 
     payload = lab.run_check(args.check, args.seed)
     passed = all(payload["checks"].values())

@@ -13,6 +13,11 @@ sets and curvature constants are known analytically.
 Replicates derive their generators from the master seed through
 ``numpy.random.SeedSequence`` entropy lists (master, index...), so reports
 are reproducible and replicate order never matters.
+
+The lab runs on numpy alone.  The critical points, curvature constant and
+level-set boundaries of the reference mixture are scalar roots, found by
+bisecting every sign-change bracket on a fixed grid at once
+(`_bracketed_roots`), so no check imports scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .density import DensityModel, _as_cloud, density_at, fit
 from .shift import (
@@ -200,6 +204,34 @@ def standard_normal_density() -> AnalyticDensity:
                            hess_sup=amp, sampler=sampler)
 
 
+def _bracketed_roots(f, xs, values, xtol: float = 1e-13) -> np.ndarray:
+    """Roots of `f` in every sign-change bracket of `values` on the grid `xs`.
+
+    A bracket is a grid step [xs[i], xs[i+1]] with
+    sign(values[i]) * sign(values[i+1]) < 0, so a root that falls exactly on
+    a grid node is not bracketed.  Bisection runs on all brackets at once,
+    `f` mapping a 1-D array of points to their values.  A bracket stops once
+    its width is at most `xtol`, its midpoint rounds onto an end, or `f` is
+    zero at its midpoint, so the loop always ends.  Returns the final
+    midpoints in grid order.
+    """
+    i = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)
+    a = np.array(xs[i], dtype=float)
+    b = np.array(xs[i + 1], dtype=float)
+    sign_a = np.sign(values[i])
+    while True:
+        mid = 0.5 * (a + b)
+        live = np.flatnonzero((b - a > xtol) & (mid != a) & (mid != b))
+        if live.size == 0:
+            return mid
+        m = mid[live]
+        sign_m = np.sign(f(m))
+        # the root lies right of m when f(m) has the sign of f(a), left of it
+        # when the sign is opposite; a zero at m collapses the bracket onto m
+        a[live] = np.where(sign_m != -sign_a[live], m, a[live])
+        b[live] = np.where(sign_m != sign_a[live], m, b[live])
+
+
 def _phi(x, mu, s):
     return np.exp(-0.5 * ((x - mu) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
 
@@ -208,9 +240,11 @@ def gmm_density(mix: float = 0.7, mu1: float = 0.0, mu2: float = 5.0,
                 s1: float = 1.0, s2: float = 1.0) -> AnalyticDensity:
     """Two-component 1-D gaussian mixture with located critical points.
 
-    Modes and the inter-mode minimum are found by root bracketing on p',
-    and the curvature constant sup |p''| by dense-grid search with local
-    polish; all are deterministic functions of the parameters.
+    Modes and the inter-mode minimum are the roots of p' in its sign-change
+    brackets on a 4001-point grid over mu -/+ 4 s, found by bisection.  The
+    curvature constant sup |p''| is the grid maximum of |p''| or, if larger,
+    |p''| at the root of p''' within two grid steps of it.  All are
+    deterministic functions of the parameters.
     """
     if not 0.0 < mix < 1.0:
         raise ValueError("mix must be strictly inside (0, 1) for a two-mode fixture")
@@ -233,21 +267,27 @@ def gmm_density(mix: float = 0.7, mu1: float = 0.0, mu2: float = 5.0,
         t2 = w[1] * _phi(x, mu[1], s[1]) * (((x - mu[1]) / s[1] ** 2) ** 2 - 1.0 / s[1] ** 2)
         return t1 + t2
 
+    def d3pdf_scalar(x):
+        # for z = (x - mu) / s the third derivative of phi(z) is (3z - z^3) phi(z)
+        x = np.asarray(x, dtype=float)
+        z1 = (x - mu[0]) / s[0]
+        z2 = (x - mu[1]) / s[1]
+        return (w[0] * _phi(x, mu[0], s[0]) * (3.0 * z1 - z1 ** 3) / s[0] ** 3
+                + w[1] * _phi(x, mu[1], s[1]) * (3.0 * z2 - z2 ** 3) / s[1] ** 3)
+
     lo = min(mu1 - 4.0 * s1, mu2 - 4.0 * s2)
     hi = max(mu1 + 4.0 * s1, mu2 + 4.0 * s2)
     xs = np.linspace(lo, hi, 4001)
-    dv = dpdf_scalar(xs)
-    roots = []
-    for i in np.flatnonzero(np.sign(dv[:-1]) * np.sign(dv[1:]) < 0):
-        roots.append(brentq(dpdf_scalar, xs[i], xs[i + 1], xtol=1e-13))
-    modes = [r for r in roots if d2pdf_scalar(r) < 0.0]
-    minima = [r for r in roots if d2pdf_scalar(r) > 0.0]
+    roots = _bracketed_roots(dpdf_scalar, xs, dpdf_scalar(xs))
+    curv_at_roots = d2pdf_scalar(roots)
+    modes = roots[curv_at_roots < 0.0]
+    minima = roots[curv_at_roots > 0.0]
 
     curv = np.abs(d2pdf_scalar(xs))
     k = int(np.argmax(curv))
-    window = (xs[max(k - 2, 0)], xs[min(k + 2, xs.size - 1)])
-    res = minimize_scalar(lambda x: -abs(d2pdf_scalar(x)), bounds=window, method="bounded")
-    hess_sup = float(abs(d2pdf_scalar(res.x)))
+    window = xs[max(k - 2, 0): k + 3]
+    peaks = _bracketed_roots(d3pdf_scalar, window, d3pdf_scalar(window))
+    hess_sup = float(np.abs(d2pdf_scalar(peaks)).max(initial=curv[k]))
 
     def dens(q):
         return pdf_scalar(np.atleast_2d(q)[:, 0])
@@ -261,8 +301,7 @@ def gmm_density(mix: float = 0.7, mu1: float = 0.0, mu2: float = 5.0,
         return np.where(pick1, mu1 + s1 * z, mu2 + s2 * z)[:, None]
 
     return AnalyticDensity(density=dens, gradient=grad, dim=1,
-                           modes=np.array(modes)[:, None],
-                           minima=np.array(minima)[:, None],
+                           modes=modes[:, None], minima=minima[:, None],
                            hess_sup=hess_sup, sampler=sampler)
 
 
@@ -284,12 +323,11 @@ def gmm_level_spec(density: AnalyticDensity, level: Optional[float] = None) -> L
     lo = float(density.modes.min()) - 6.0 * span / 5.0
     hi = float(density.modes.max()) + 6.0 * span / 5.0
     xs = np.linspace(lo, hi, 8001)
-    fv = np.asarray(density.density(xs[:, None]), dtype=float) - level
-    roots = []
-    for i in np.flatnonzero(np.sign(fv[:-1]) * np.sign(fv[1:]) < 0):
-        roots.append(brentq(lambda x: float(density.density(np.array([[x]]))[0]) - level,
-                            xs[i], xs[i + 1], xtol=1e-13))
-    boundary = np.array(roots)[:, None]
+
+    def excess(x):
+        return np.asarray(density.density(x[:, None]), dtype=float) - level
+
+    boundary = _bracketed_roots(excess, xs, excess(xs))[:, None]
     slopes = np.abs(np.asarray(density.gradient(boundary), dtype=float)[:, 0])
     return LevelSetSpec(density=density.density, level=float(level),
                         boundary_points=boundary, gradient_floor=float(slopes.min()))

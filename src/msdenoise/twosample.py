@@ -99,14 +99,25 @@ def _sorted_energy(z, ranks, n):
 def _median_pairwise(pooled) -> float:
     from scipy.spatial.distance import pdist
 
-    d = pdist(pooled)
-    med = float(np.median(d)) if d.size else 0.0
+    return _median_distance(pdist(pooled, "sqeuclidean"))
+
+
+def _median_distance(sq_dists) -> float:
+    """Median of the distances whose squares are `sq_dists`.
+
+    The root is monotone, so the one or two middle squared distances give
+    the median; their roots, averaged as `np.median` does, are the bits of
+    `np.median(pdist(pooled))`.
+    """
+    size = sq_dists.size
+    kth = [size // 2] if size % 2 else [size // 2 - 1, size // 2]
+    med = float(np.median(np.sqrt(np.partition(sq_dists, kth)[kth]))) if size else 0.0
     if med > 0.0:
         return med
-    positive = d[d > 0.0]
+    positive = sq_dists[sq_dists > 0.0]
     # degenerate pools (mostly duplicated points): fall back to the smallest
     # positive spacing, or unit scale if every point coincides
-    return float(positive.min()) if positive.size else 1.0
+    return float(np.sqrt(positive.min())) if positive.size else 1.0
 
 
 def mmd2_biased(x, y, kernel_sigma="auto") -> float:
@@ -219,9 +230,10 @@ def _sorted_permutation_stats(xa, ya, n_perm, rng):
     return stats
 
 
-# The pooled route holds at most two (n+m) x (n+m) float64 matrices at once
-# (the MMD kernel matrix while `exp` writes it; tracemalloc at n+m = 2000).
-# At this limit (n+m = 8192) each is 512 MiB, about 1 GiB together.
+# The pooled route holds at most 1.75 (n+m)^2 float64 at once (MMD: the
+# condensed pair array beside the square kernel matrix built from it, plus
+# the GEMM operands; tracemalloc at n+m = 2000).  At this limit
+# (n+m = 8192) that is about 900 MiB.
 _MAX_POOLED_FLOATS = 1 << 26
 
 
@@ -234,7 +246,7 @@ def _pooled_permutation_stats(which, xa, ya, n_perm, rng):
     of more than `_MAX_POOLED_FLOATS` entries raises ValueError before it is
     allocated.
     """
-    from scipy.spatial.distance import cdist
+    from scipy.spatial.distance import cdist, pdist, squareform
 
     n, m = xa.shape[0], ya.shape[0]
     total = n + m
@@ -247,8 +259,12 @@ def _pooled_permutation_stats(which, xa, ya, n_perm, rng):
     if which == "energy":
         matrix = cdist(pooled, pooled)
     else:
-        sigma = _median_pairwise(pooled)
-        matrix = np.exp(cdist(pooled, pooled, "sqeuclidean") * (-0.5 / sigma**2))
+        # one pass over the pairs serves the median and the kernel matrix
+        sq_dists = pdist(pooled, "sqeuclidean")
+        sigma = _median_distance(sq_dists)
+        sq_dists *= -0.5 / sigma**2
+        matrix = squareform(np.exp(sq_dists, out=sq_dists))
+        np.fill_diagonal(matrix, 1.0)
     # contiguous copies of the blocks hold the entries of the per-sample
     # matrices that energy_statistic and mmd2_biased build, in the same
     # layout, so their means (and the observed statistic) are the same bits

@@ -137,3 +137,31 @@ def test_dimension_mismatch_and_bad_args():
     for tol in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             anomaly_scores(rng.normal(size=(5, 2)), model, tol=tol)
+
+
+def test_record_limit_fails_before_allocating():
+    import tracemalloc
+
+    from msdenoise import anomaly
+
+    rng = np.random.default_rng(7)
+    data = rng.normal(size=(100, 2))
+    model = fit(data, 0.5)
+    too_many = anomaly._MAX_RECORD_FLOATS // 100 + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=str(anomaly._MAX_RECORD_FLOATS)):
+            anomaly_scores(data, model, max_iter=too_many)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the positions kept for traces count against the same limit: this
+    # max_iter fits as step lengths alone, but not with two coordinates more
+    max_iter = anomaly._MAX_RECORD_FLOATS // 200
+    assert anomaly_scores(data, model, max_iter=max_iter).converged.all()
+    with pytest.raises(ValueError, match="positions"):
+        anomaly_scores(data, model, max_iter=max_iter, keep_traces=True)
+    # the default CLI scene with traces (test_cli) stays well inside the limit
+    n, d = default_anomaly_scenario().cloud.points.shape
+    assert 500 * n + 501 * n * d <= anomaly._MAX_RECORD_FLOATS

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +42,101 @@ def test_gmm_level_spec_boundaries(gmm, gmm_spec):
     vals = gmm.density(gmm_spec.boundary_points)
     assert np.allclose(vals, gmm_spec.level, rtol=1e-9)
     assert gmm_spec.gradient_floor > 0.0
+
+
+def test_theory_path_loads_no_scipy():
+    code = (
+        "import sys\n"
+        "import msdenoise.cli, msdenoise.theory_lab as lab\n"
+        "gmm = lab.gmm_density()\n"
+        "lab.gmm_level_spec(gmm)\n"
+        "lab.mixture_tilt_family()\n"
+        "lab.level_scale_family(gmm)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(lab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+def _brentq_roots(f, xs, values):
+    """The scipy reference: brentq on each sign-change bracket of `values`."""
+    from scipy.optimize import brentq
+
+    return np.array([
+        brentq(lambda t: float(f(np.array([t]))[0]), xs[i], xs[i + 1], xtol=1e-13)
+        for i in np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)
+    ])
+
+
+@pytest.mark.parametrize("params", [
+    (0.7, 0.0, 5.0, 1.0, 1.0),
+    (0.5, -1.0, 3.0, 0.6, 1.4),
+    (0.35, 2.0, 9.0, 2.0, 0.8),
+])
+def test_gmm_critical_points_match_scipy(params):
+    pytest.importorskip("scipy")
+    from scipy.optimize import minimize_scalar
+
+    mix, mu1, mu2, s1, s2 = params
+    gmm = lab.gmm_density(*params)
+    xs = np.linspace(min(mu1 - 4.0 * s1, mu2 - 4.0 * s2),
+                     max(mu1 + 4.0 * s1, mu2 + 4.0 * s2), 4001)
+
+    def slope(x):
+        return gmm.gradient(x[:, None])[:, 0]
+
+    want = _brentq_roots(slope, xs, slope(xs))
+    got = np.sort(np.concatenate([gmm.modes.ravel(), gmm.minima.ravel()]))
+    assert got.shape == want.shape == (3,)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+    def curvature(x):
+        total = 0.0
+        for w, mu, s in ((mix, mu1, s1), (1.0 - mix, mu2, s2)):
+            z = (x - mu) / s
+            total = total + w * lab._phi(x, mu, s) * (z * z - 1.0) / (s * s)
+        return total
+
+    k = int(np.argmax(np.abs(curvature(xs))))
+    window = (xs[max(k - 2, 0)], xs[min(k + 2, xs.size - 1)])
+    res = minimize_scalar(lambda x: -abs(curvature(x)), bounds=window, method="bounded")
+    assert gmm.hess_sup == pytest.approx(abs(curvature(res.x)), rel=1e-9)
+
+    spec = lab.gmm_level_spec(gmm)
+    span = float(gmm.modes.max() - gmm.modes.min()) + 1.0
+    grid = np.linspace(float(gmm.modes.min()) - 6.0 * span / 5.0,
+                       float(gmm.modes.max()) + 6.0 * span / 5.0, 8001)
+
+    def excess(x):
+        return gmm.density(x[:, None]) - spec.level
+
+    want = _brentq_roots(excess, grid, excess(grid))
+    assert spec.boundary_points.shape == (want.size, 1)
+    assert np.max(np.abs(spec.boundary_points[:, 0] - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: x - 0.5,                    # root on a grid node: not bracketed
+    lambda x: x * x + 1.0,                # no root
+    lambda x: (x - 0.5) * (x - 0.23),     # one root on a node, one inside a step
+    lambda x: np.cos(7.0 * x),            # two roots inside steps
+])
+def test_bracketed_roots_match_brentq_bracket_rule(f):
+    pytest.importorskip("scipy")
+    xs = np.linspace(0.0, 1.0, 11)
+    got = lab._bracketed_roots(f, xs, f(xs))
+    want = _brentq_roots(f, xs, f(xs))
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13)
+
+
+def test_bracketed_roots_stops_on_an_exact_zero():
+    # the first midpoint is the root itself
+    xs = np.array([0.0, 1.0])
+    assert lab._bracketed_roots(lambda x: x - 0.5, xs, xs - 0.5).tolist() == [0.5]
 
 
 def test_level_set_mass_normal_interval_oracle():

@@ -73,6 +73,23 @@ class TestMMD:
         sigma = _median_pairwise(np.vstack([x, y]))
         assert mmd2_biased(x, y) == mmd2_biased(x, y, kernel_sigma=sigma)
 
+    @pytest.mark.parametrize("pool", [
+        np.random.default_rng(8).normal(size=(2000, 1)),  # even pair count
+        np.random.default_rng(8).normal(size=(1001, 2)),  # odd pair count
+        np.random.default_rng(8).normal(size=(2, 3)),     # one pair
+        np.vstack([np.zeros((5, 1)), [[0.25], [1.0]]]),   # median 0: least spacing
+        np.zeros((3, 2)),                                 # all coincide: unit scale
+        np.zeros((1, 1)),                                 # no pairs
+    ])
+    def test_median_from_squared_pairs_matches_numpy_median(self, pool):
+        from scipy.spatial.distance import pdist
+
+        d = pdist(pool)
+        med = float(np.median(d)) if d.size else 0.0
+        positive = d[d > 0.0]
+        want = med if med > 0.0 else (float(positive.min()) if positive.size else 1.0)
+        assert _median_pairwise(pool) == want
+
     def test_degenerate_pool_fallback(self):
         # all points coincide: any sigma gives a zero statistic
         x = np.zeros((4, 1))
