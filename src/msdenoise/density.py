@@ -14,7 +14,17 @@ the same model at the same points is bit-for-bit reproducible.  Batch
 evaluation runs over cache-sized blocks of query rows: two ``(rows, n)``
 buffers of about ``_BLOCK_FLOATS`` floats each are allocated once per range
 of rows and reused for every block, so memory does not grow with the batch
-size and no ``(rows, n, d)`` temporary is formed.  A batch of at least
+size and no ``(rows, n, d)`` temporary is formed.  Each coordinate
+difference is formed by copying the data row into the block and subtracting
+the query column in place.  Each row's weighted sums (of the weights, of the
+weights times a data coordinate, of the weights times a difference) come
+from `np.einsum` in one pass, without storing the products, over fixed
+chunks of at most ``_ROW_CHUNK`` = 8192 columns whose sums are added left
+to right.  The chunks keep a row's rounding independent of where it sits in
+the block: einsum itself would cut a longer row at its 8192-element buffer
+boundary, wherever that falls.  No BLAS call is used, because a BLAS
+product rounds differently in a batch than row by row and with the number
+of BLAS threads.  A batch of at least
 ``_SPLIT_PAIRS`` query x data pairs takes blocks of ``_SPLIT_BLOCK_FLOATS``
 and is split into contiguous ranges of whole blocks, one per usable CPU; the
 calling thread takes the first range and one thread per further CPU takes
@@ -65,15 +75,25 @@ __all__ = [
 # the same block, whose grouping fixes the rounding of each score.
 _BLOCK_FLOATS = 32_768
 
+# Columns per `np.einsum` call of a row reduction (`_row_sums`).  einsum
+# hands a row longer than its 8192-element iterator buffer to its inner loop
+# in pieces whose ends depend on where the row sits in the block, and each
+# piece rounds on its own, so a longer row would sum differently in a batch
+# than alone.
+_ROW_CHUNK = 8192
+
 # Query x data pairs from which a batch is split across the usable CPUs.
 # Below it, a thread hand-off costs more than it saves.
 _SPLIT_PAIRS = 1 << 22
 
-# Floats per work buffer of a split batch.  At `_BLOCK_FLOATS` the cheap
-# in-place ufuncs are short enough that two threads wait on each other's
-# hand-off of the interpreter lock; smaller batches keep the smaller block,
-# which costs them fewer cache misses and page faults.
-_SPLIT_BLOCK_FLOATS = 65_536
+# Floats per work buffer of a split batch.  Each block costs a fixed number
+# of numpy calls, and a thread that finishes one while the other holds the
+# interpreter lock waits to be woken, so larger blocks split better: on two
+# cores a 1000 x 200k step took 1.8 ns per pair at 131,072 floats against
+# 2.3 at 65,536 and 2.2 at 262,144 (1 MB per buffer fits a 2 MB L2 cache,
+# 2 MB does not).  Smaller batches keep `_BLOCK_FLOATS`, which costs them
+# fewer cache misses and page faults.
+_SPLIT_BLOCK_FLOATS = 131_072
 
 # Points of the coarse SCV grid over [h_ns / 10, 10 h_ns] and the
 # golden-section tolerance on log h.
@@ -192,6 +212,31 @@ def _as_queries(x, dim: int) -> tuple[np.ndarray, bool]:
     raise ValueError(f"query must be a point or an (m, d) batch, got ndim={arr.ndim}")
 
 
+def _differences(out: np.ndarray, row: np.ndarray, q: np.ndarray) -> None:
+    """``out[i, k] = row[k] - q[i]``: the data row copied into every block row,
+    then the query column subtracted in place (faster than a subtraction that
+    broadcasts both operands, and the same bits)."""
+    out[...] = row
+    np.subtract(out, q[:, None], out=out)
+
+
+def _row_sums(w: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
+    """Row sums of `w`, or of ``w * x`` for an ``(n,)`` row or a block `x` like `w`.
+
+    One `np.einsum` pass per chunk of at most `_ROW_CHUNK` columns, so no
+    product is stored; the chunk sums are added left to right, so each row is
+    summed the same way in any block.
+    """
+    spec = "ij->i" if x is None else ("ij,j->i" if x.ndim == 1 else "ij,ij->i")
+    operands = (w,) if x is None else (w, x)
+    if w.shape[1] <= _ROW_CHUNK:
+        return np.einsum(spec, *operands)
+    total = np.einsum(spec, *(a[..., :_ROW_CHUNK] for a in operands))
+    for c in range(_ROW_CHUNK, w.shape[1], _ROW_CHUNK):
+        total += np.einsum(spec, *(a[..., c : c + _ROW_CHUNK] for a in operands))
+    return total
+
+
 def _kernel_blocks(cols: np.ndarray, h: float, queries: np.ndarray, rows: int):
     """Gaussian kernel weights of query rows against the data, block by block.
 
@@ -210,10 +255,10 @@ def _kernel_blocks(cols: np.ndarray, h: float, queries: np.ndarray, rows: int):
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
         w, scratch = wbuf[: hi - lo], sbuf[: hi - lo]
-        np.subtract(cols[0], queries[lo:hi, 0, None], out=w)
+        _differences(w, cols[0], queries[lo:hi, 0])
         np.square(w, out=w)
         for j in range(1, d):
-            np.subtract(cols[j], queries[lo:hi, j, None], out=scratch)
+            _differences(scratch, cols[j], queries[lo:hi, j])
             np.square(scratch, out=scratch)
             np.add(w, scratch, out=w)
         np.multiply(w, inv2h2, out=w)
@@ -288,12 +333,11 @@ def _kde_eval(data: np.ndarray, h: float, queries: np.ndarray, want_grad: bool):
     cols = np.ascontiguousarray(data.T)
 
     def reduce(lo, hi, w, scratch):
-        dens[lo:hi] = w.sum(axis=1) * norm
+        dens[lo:hi] = _row_sums(w) * norm
         if want_grad:
             for j in range(d):
-                np.subtract(cols[j], queries[lo:hi, j, None], out=scratch)
-                np.multiply(scratch, w, out=scratch)
-                grad[lo:hi, j] = scratch.sum(axis=1) * gnorm
+                _differences(scratch, cols[j], queries[lo:hi, j])
+                grad[lo:hi, j] = _row_sums(w, scratch) * gnorm
 
     _reduce_kernel_blocks(cols, h, queries, reduce)
     return (dens, grad) if want_grad else dens

@@ -34,6 +34,7 @@ from .density import (
     _as_queries,
     _kde_eval,
     _reduce_kernel_blocks,
+    _row_sums,
 )
 
 __all__ = [
@@ -51,8 +52,11 @@ __all__ = [
 class ZeroDensityError(ValueError):
     """Raised when a shift step lands on zero or non-finite density.
 
-    Carries the index of the offending point within the batch (0 for a
-    single-point call) so callers can report which input failed.
+    The weighted-mean step raises it only for a non-finite query; the
+    gradient-ratio step also raises it where the density underflows to 0,
+    far from all mass.  Carries the index of the offending point within the
+    batch (0 for a single-point call) so callers can report which input
+    failed.
     """
 
     def __init__(self, index: int, value: float):
@@ -60,7 +64,7 @@ class ZeroDensityError(ValueError):
         self.value = float(value)
         super().__init__(
             f"density at point index {self.index} is {value!r}; "
-            "shift step undefined there (point too far from all mass?)"
+            "shift step undefined there (non-finite point, or too far from all mass?)"
         )
 
 
@@ -168,25 +172,50 @@ def shift_step(op: ShiftOperator, x):
     return out[0] if single else out
 
 
+def _far_field_weights(cols: np.ndarray, h: float, q: np.ndarray, out: np.ndarray) -> None:
+    """Kernel weights of query `q` scaled so that the nearest datum weighs 1.
+
+    For a query whose every weight underflows to 0: the exponents are shifted
+    by their maximum before `exp`.  `out` is left as it is if `q` is not
+    finite or its squared distances to all data overflow.
+    """
+    if not np.all(np.isfinite(q)):
+        return
+    expo = np.square(cols - q[:, None]).sum(axis=0) * (-0.5 / (h * h))
+    top = expo.max()
+    if np.isfinite(top):
+        np.exp(expo - top, out=out)
+
+
 def empirical_step_weighted_mean(model: DensityModel, x):
     """One step in the kernel-weighted-mean form over the model's own data.
 
     Shares only the kernel-weight blocks with the fitted density and
     gradient; its reduction over the data is its own, so it stays an
-    independent cross-check of the gradient-ratio form.
+    independent cross-check of the gradient-ratio form.  A query so far from
+    the data that every weight underflows to 0 takes max-shifted weights
+    instead, which leaves the mean unchanged; every other row keeps its bits.
+    ZeroDensityError is raised only where no weight can be formed: at a
+    non-finite query, or one whose squared distances to all data overflow.
     """
     q, single = _as_queries(x, model.dim)
     cols = np.ascontiguousarray(model.data.points.T)
+    h = model.bandwidth
     out = np.empty_like(q)
 
     def reduce(lo, hi, w, scratch):
-        denom = w.sum(axis=1)
-        _require_positive(denom, lo)
+        denom = _row_sums(w)
+        # weights lie in [0, 1], so a row sum is finite and positive unless
+        # every weight underflowed or the query was not finite
+        if not denom.min() > 0.0:
+            for i in np.flatnonzero(denom == 0.0):
+                _far_field_weights(cols, h, q[lo + i], w[i])
+                denom[i] = _row_sums(w[i : i + 1])[0]
+            _require_positive(denom, lo)
         for j in range(cols.shape[0]):
-            np.multiply(w, cols[j], out=scratch)
-            out[lo:hi, j] = scratch.sum(axis=1) / denom
+            out[lo:hi, j] = _row_sums(w, cols[j]) / denom
 
-    _reduce_kernel_blocks(cols, model.bandwidth, q, reduce)
+    _reduce_kernel_blocks(cols, h, q, reduce)
     return out[0] if single else out
 
 

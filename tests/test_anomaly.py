@@ -37,6 +37,17 @@ def test_single_datum_model_score_is_distance():
     assert report.converged[0]
 
 
+def test_far_outlier_is_scored_first():
+    """A point so far out that all its kernel weights underflow still moves."""
+    rng = np.random.default_rng(8)
+    inliers = rng.normal(size=(40, 2))
+    pts = np.vstack([inliers, [[60.0, -45.0]]])  # 75 from the origin, h = 0.5
+    report = anomaly_scores(pts, fit(inliers, 0.5))
+    assert report.converged.all()
+    assert report.ranking[0] == 40
+    assert 70.0 < report.scores[40] < 80.0  # a jump to the nearest inliers, then a few steps in
+
+
 def test_top_k_sort_oracle():
     report = AnomalyReport(np.array([3.0, 1.0, 2.0]), np.array([0, 2, 1]),
                            np.ones(3, dtype=bool))

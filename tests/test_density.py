@@ -107,6 +107,29 @@ def test_batch_matches_single_queries_exactly():
     assert np.array_equal(gbatch, gsingles)
 
 
+@pytest.mark.parametrize("n", [1, 1000, 8192, 8193, 12345, 40000])
+def test_row_sums_are_per_row_and_accurate(n):
+    """`_row_sums` of a block equals each row's own call and the exact sum."""
+    rng = np.random.default_rng(n)
+    buf = rng.random(5 * n + 1)
+    w = buf[1:].reshape(5, n)  # rows start at every alignment
+    x = rng.normal(size=n)
+
+    def rows_of(other, sl):
+        return other if other is None or other.ndim == 1 else other[sl]
+
+    for other in (None, x, w[::-1].copy()):
+        got = density._row_sums(w, other)
+        rows = [density._row_sums(w[i : i + 1], rows_of(other, slice(i, i + 1)))[0]
+                for i in range(5)]
+        assert np.array_equal(got, rows)
+        # a row reduces the same wherever the block starts
+        assert np.array_equal(density._row_sums(w[1:], rows_of(other, slice(1, None))), got[1:])
+        prods = w if other is None else w * other
+        exact = [math.fsum(row) for row in prods]
+        assert np.allclose(got, exact, rtol=1e-13, atol=1e-13 * np.abs(prods).sum(axis=1).max())
+
+
 def test_far_query_is_nonnegative_and_finite():
     m = fit([[0.0]], 0.1)
     val = density_at(m, [1e6])

@@ -1,6 +1,9 @@
 """Shift step, convergence trace, and denoising sweep tests."""
 
 import math
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -226,12 +229,13 @@ def test_denoise_validates_arguments():
 
 def test_zero_density_raises_with_point_index():
     m = fit([[0.0]], 0.1)
-    batch = np.array([[0.05], [5000.0]])
-    with pytest.raises(ZeroDensityError) as exc:
-        empirical_step_weighted_mean(m, batch)
-    assert exc.value.index == 1
-    with pytest.raises(ZeroDensityError):
-        shift_step(ShiftOperator(m), [5000.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        batch = np.array([[0.05], [bad]])
+        with pytest.raises(ZeroDensityError) as exc:
+            empirical_step_weighted_mean(m, batch)
+        assert exc.value.index == 1
+        with pytest.raises(ZeroDensityError):
+            shift_step(ShiftOperator(m), [bad])
 
 
 def test_zero_density_index_in_later_block():
@@ -241,13 +245,14 @@ def test_zero_density_index_in_later_block():
     rows_per_block = density._BLOCK_FLOATS // n
     assert 77 >= 2 * rows_per_block  # row 77 lies past the first two blocks
     batch = rng.normal(size=(100, 1))
-    batch[77] = 5000.0
-    with pytest.raises(ZeroDensityError) as exc:
-        empirical_step_weighted_mean(m, batch)
-    assert exc.value.index == 77
-    with pytest.raises(ZeroDensityError) as exc:
-        shift_step(ShiftOperator(m), batch)
-    assert exc.value.index == 77
+    for bad in (np.nan, np.inf):
+        batch[77] = bad
+        with pytest.raises(ZeroDensityError) as exc:
+            empirical_step_weighted_mean(m, batch)
+        assert exc.value.index == 77
+        with pytest.raises(ZeroDensityError) as exc:
+            shift_step(ShiftOperator(m), batch)
+        assert exc.value.index == 77
 
 
 def split_batches(monkeypatch, n, rows, workers):
@@ -309,14 +314,15 @@ def test_split_batch_zero_density_reports_lowest_global_index(workers, far, inde
     n = 40
     m = fit(rng.normal(size=(n, 1)), 0.1)
     batch = rng.normal(size=(3 * 6 + 2, 1))
-    batch[far] = 5000.0
     split_batches(monkeypatch, n, 3, workers)
-    with pytest.raises(ZeroDensityError) as exc:
-        empirical_step_weighted_mean(m, batch)
-    assert exc.value.index == index
-    with pytest.raises(ZeroDensityError) as exc:
-        shift_step(ShiftOperator(m), batch)
-    assert exc.value.index == index
+    for bad in (np.nan, np.inf):
+        batch[far] = bad
+        with pytest.raises(ZeroDensityError) as exc:
+            empirical_step_weighted_mean(m, batch)
+        assert exc.value.index == index
+        with pytest.raises(ZeroDensityError) as exc:
+            shift_step(ShiftOperator(m), batch)
+        assert exc.value.index == index
 
 
 def test_monotone_ascent_property():
@@ -375,3 +381,107 @@ def test_immutability_of_inputs():
     shift_until_converged(op, data[0])
     assert np.array_equal(data, snapshot)
     assert np.array_equal(cloud.points, snapshot)
+
+
+def misaligned(a):
+    """A copy of `a` held as a view that starts 8 bytes into its buffer."""
+    buf = np.empty(a.size + 1)
+    view = buf[1:].reshape(a.shape)
+    view[...] = a
+    return view
+
+
+@pytest.mark.parametrize("block", ["default", "5 rows", "split"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [8193, 12345, 40000])
+def test_long_rows_batch_matches_rows_and_permutation(n, d, block, monkeypatch):
+    """Rows longer than one reduction chunk reduce the same way in any batch.
+
+    einsum would split such a row at offsets that depend on where it sits in
+    the block; the fixed column chunks must make the batch, each row alone
+    and a row-permuted batch agree bit for bit, also on misaligned views.
+    """
+    rng = np.random.default_rng(n + d)
+    data = misaligned(rng.normal(size=(n, d)))
+    m = fit(data, 0.7)
+    op = ShiftOperator(m, tau=0.5)
+    q = misaligned(rng.normal(size=(11, d)))
+    perm = rng.permutation(q.shape[0])
+    evals = {
+        "density": lambda x: density_at(m, x),
+        "gradient": lambda x: gradient_at(m, x),
+        "weighted mean": lambda x: empirical_step_weighted_mean(m, x),
+        "ratio": lambda x: shift_step(op, x),
+    }
+    rowwise = {name: np.array([f(row) for row in q]) for name, f in evals.items()}
+    if block == "5 rows":
+        monkeypatch.setattr(density, "_BLOCK_FLOATS", 5 * n)
+    elif block == "split":
+        split_batches(monkeypatch, n, 2, 2)
+    for name, f in evals.items():
+        batch = f(q)
+        assert np.array_equal(batch, rowwise[name]), name
+        assert np.array_equal(f(q[perm]), batch[perm]), name
+
+
+_BLAS_THREADS_PROBE = """
+import hashlib, numpy as np
+from msdenoise import ShiftOperator, density_at, empirical_step_weighted_mean, fit, gradient_at, shift_step
+rng = np.random.default_rng(12345)
+m = fit(rng.normal(size=(12345, 2)), 0.4)
+q = rng.normal(size=(400, 2))
+outs = (density_at(m, q), gradient_at(m, q), empirical_step_weighted_mean(m, q),
+        shift_step(ShiftOperator(m, tau=0.3), q))
+print(hashlib.sha1(b"".join(o.tobytes() for o in outs)).hexdigest())
+"""
+
+
+def test_step_bits_do_not_depend_on_blas_threads():
+    """The kernel reductions use no BLAS, so one BLAS thread gives the same bytes."""
+    import msdenoise
+
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    src = os.path.dirname(os.path.dirname(msdenoise.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    digests = []
+    for threads in (None, "1"):
+        run_env = dict(env) if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads)
+        res = subprocess.run([sys.executable, "-c", _BLAS_THREADS_PROBE], env=run_env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        digests.append(res.stdout.strip())
+    assert len(digests[0]) == 40
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_far_field_step_takes_max_shifted_weights(d):
+    """A query whose every weight underflows steps to the weighted mean.
+
+    The far rows match a pure-python loop over max-shifted exponents, and the
+    in-range rows of the same batch keep the bits they have without them.
+    """
+    rng = np.random.default_rng(30 + d)
+    data = rng.normal(size=(30, d))
+    h = 1.0
+    m = fit(data, h)
+    near = rng.normal(size=(6, d))
+    # at 45 the nearest few data carry weight; at 5000 only the nearest does
+    far = np.array([[45.0] + [-3.0] * (d - 1), [5000.0] * d])
+    batch = np.vstack([near[:3], far[:1], near[3:], far[1:]])
+    assert np.all(np.exp(-((data - far[:, None]) ** 2).sum(axis=2) / (2 * h * h)) == 0.0)
+    out = empirical_step_weighted_mean(m, batch)
+    # in-range rows take the plain kernel weights, unshifted
+    cols = np.ascontiguousarray(data.T)
+    (_, _, w, _), = density._kernel_blocks(cols, h, near, near.shape[0])
+    plain = np.column_stack([density._row_sums(w, c) for c in cols]) / density._row_sums(w)[:, None]
+    assert np.array_equal(np.delete(out, [3, 7], axis=0), plain)
+    assert np.array_equal(np.delete(out, [3, 7], axis=0), empirical_step_weighted_mean(m, near))
+    assert np.array_equal(out, np.vstack([empirical_step_weighted_mean(m, row) for row in batch]))
+    for x, got in zip(far, out[[3, 7]]):
+        expo = [-sum((x[j] - row[j]) ** 2 for j in range(d)) / (2 * h * h) for row in data]
+        top = max(expo)
+        weights = [math.exp(e - top) for e in expo]
+        ref = np.array([sum(wt * row[j] for wt, row in zip(weights, data)) for j in range(d)])
+        ref /= sum(weights)
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+        assert density_at(m, got) > 0.0
