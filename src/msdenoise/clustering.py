@@ -47,13 +47,12 @@ class LabelSet:
 
 
 def _sq_dists(x, centers):
-    # (x - c)^2 expanded; clip the cancellation noise
-    d2 = (
-        np.sum(x * x, axis=1)[:, None]
-        + np.sum(centers * centers, axis=1)[None, :]
-        - 2.0 * x @ centers.T
-    )
-    return np.maximum(d2, 0.0)
+    # direct differences, one centre at a time (k is small): translating the
+    # data moves no distance by more than its rounding
+    d2 = np.empty((x.shape[0], centers.shape[0]))
+    for j, c in enumerate(centers):
+        np.square(x - c).sum(axis=1, out=d2[:, j])
+    return d2
 
 
 def _kmeans_once(pts, k, rng):
@@ -92,8 +91,7 @@ def _kmeans_once(pts, k, rng):
                 # current center
                 far = np.argmax(dist2[np.arange(n), labels])
                 centers[j] = pts[far]
-    # report the objective from a direct residual pass, free of the
-    # cancellation noise of the expanded distance formula
+    # report the objective of the final centres
     wcss = float(((pts - centers[labels]) ** 2).sum())
     return labels, wcss, history
 

@@ -33,20 +33,14 @@ interpreter lock).  Each row is reduced on its own, so a batch gives the
 same bits as evaluating its rows one at a time, for any block size and any
 number of ranges.
 
-Smoothed cross-validation bins a 1-D sample linearly onto a grid of spacing
-``h_ns / _SCV_BINS_PER_PILOT`` from its minimum and takes the lag counts of
-the bins from one real FFT; each score is then one gaussian-weighted sum over
-the lags, so a selection costs O(n + M log M) time and O(M) memory for M grid
-points, and the bandwidth is within about 1e-6 relative of the exact
-criterion's.  For d >= 2 the criterion is exact: it works on one condensed
-array of the n(n-1)/2 squared pair distances, taken once per selection from
-direct differences (``scipy.spatial.distance.pdist``).  Its scores are sums
-of ``exp`` over that array in blocks of ``_BLOCK_FLOATS``, several variances
-per block, through one reused buffer, on the calling thread: memory is
-n(n-1)/2 floats plus one block, up to `_MAX_SCV_PAIRS` pairs.  The binned
-grid starts at the sample minimum and the exact path takes direct
-differences, so the selected bandwidth does not depend on where the sample
-sits.
+Smoothed cross-validation bins the pair distances once per selection,
+linearly, onto ``r = j delta``, ``delta = h_ns / _SCV_BINS_PER_PILOT``, and
+scores each bandwidth as one gaussian-weighted sum over the M grid counts.
+In 1-D the counts are the lag counts of the binned positions, from one real
+FFT; in d >= 2 the distances are taken in row blocks from direct differences
+and counted with `np.bincount`.  Memory is O(M) plus one block, h is within
+about 1e-6 relative of the exact criterion's, and it does not depend on
+where the sample sits.
 """
 
 from __future__ import annotations
@@ -71,8 +65,8 @@ __all__ = [
 ]
 
 # Floats per (rows, n) work buffer of blocked evaluation; two such buffers
-# (weights and scratch) fit in a per-core L2 cache.  The SCV pair sums use
-# the same block, whose grouping fixes the rounding of each score.
+# (weights and scratch) fit in a per-core L2 cache.  The SCV distance
+# binning uses blocks of the same size.
 _BLOCK_FLOATS = 32_768
 
 # Columns per `np.einsum` call of a row reduction (`_row_sums`).  einsum
@@ -100,16 +94,12 @@ _SPLIT_BLOCK_FLOATS = 131_072
 _SCV_GRID = 24
 _SCV_LOG_TOL = 1e-6
 
-# The exact SCV criterion holds one float64 per pair, n(n-1)/2 of them.  At
-# this limit (n = 16384) that array is 1 GiB.
-_MAX_SCV_PAIRS = 1 << 27
-
-# Grid points per pilot bandwidth of the binned 1-D SCV criterion.  Spacing
+# Grid points per pilot bandwidth of the binned SCV criterion.  Spacing
 # g / 300 kept the selected h within 1e-6 relative of the exact criterion,
 # also with far outliers and heavy tails, where a fixed grid size does not.
 _SCV_BINS_PER_PILOT = 300
 
-# Binned lag sums stop where the gaussian exponent falls below this: the
+# Binned pair sums stop where the gaussian exponent falls below this: the
 # rest are below 1e-304 of the zero-lag term, and exp of a more negative
 # argument returns subnormals, which are slow.
 _EXP_FLOOR = -700.0
@@ -220,6 +210,17 @@ def _differences(out: np.ndarray, row: np.ndarray, q: np.ndarray) -> None:
     np.subtract(out, q[:, None], out=out)
 
 
+def _sq_distances(out: np.ndarray, scratch: np.ndarray, cols: np.ndarray, q: np.ndarray) -> None:
+    """``out[i, k] = ||X_k - q_i||^2``, summed over the coordinates in order
+    (`cols` is the data as ``(d, n)``; `scratch` is a buffer like `out`)."""
+    _differences(out, cols[0], q[:, 0])
+    np.square(out, out=out)
+    for j in range(1, cols.shape[0]):
+        _differences(scratch, cols[j], q[:, j])
+        np.square(scratch, out=scratch)
+        np.add(out, scratch, out=out)
+
+
 def _row_sums(w: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
     """Row sums of `w`, or of ``w * x`` for an ``(n,)`` row or a block `x` like `w`.
 
@@ -247,7 +248,7 @@ def _kernel_blocks(cols: np.ndarray, h: float, queries: np.ndarray, rows: int):
     are reused: a block's values are valid only until the next one is
     requested.
     """
-    d, n = cols.shape
+    n = cols.shape[1]
     m = queries.shape[0]
     wbuf = np.empty((rows, n))
     sbuf = np.empty((rows, n))
@@ -255,12 +256,7 @@ def _kernel_blocks(cols: np.ndarray, h: float, queries: np.ndarray, rows: int):
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
         w, scratch = wbuf[: hi - lo], sbuf[: hi - lo]
-        _differences(w, cols[0], queries[lo:hi, 0])
-        np.square(w, out=w)
-        for j in range(1, d):
-            _differences(scratch, cols[j], queries[lo:hi, j])
-            np.square(scratch, out=scratch)
-            np.add(w, scratch, out=w)
+        _sq_distances(w, scratch, cols, queries[lo:hi])
         np.multiply(w, inv2h2, out=w)
         np.exp(w, out=w)
         yield lo, hi, w, scratch
@@ -407,62 +403,13 @@ def _scv_score(pair_sums, n: int, d: int, g: float):
     return score
 
 
-def _scv_criterion_factory(points: np.ndarray, g: float):
-    """Exact smoothed cross-validation scores (see `_scv_score`).
-
-    The squared distances of the n(n-1)/2 pairs i < j are taken once, from
-    direct differences, into one condensed array, and each call of
-    `score(hs)` is one blocked pass over the pairs.  More than
-    `_MAX_SCV_PAIRS` pairs raise ValueError before that array is allocated.
-    """
-    from scipy.spatial.distance import pdist
-
-    n, d = points.shape
-    if n * (n - 1) // 2 > _MAX_SCV_PAIRS:
-        raise ValueError(
-            f"exact smoothed CV holds n(n-1)/2 pair distances; n={n} exceeds the "
-            f"limit of {_MAX_SCV_PAIRS} pairs"
-        )
-    tri = pdist(points, "sqeuclidean")
-    step = min(tri.size, _BLOCK_FLOATS)
-    buf = np.empty(step)
-
-    def pair_sums(variances: np.ndarray) -> np.ndarray:
-        # sum over all ordered pairs of phi_v(X_i - X_j), for each v
-        coefs = -0.5 / variances
-        acc = np.zeros(variances.size)
-        for lo in range(0, tri.size, step):
-            block = tri[lo : lo + step]
-            w = buf[: block.size]
-            for k, c in enumerate(coefs):
-                np.multiply(block, c, out=w)
-                np.exp(w, out=w)
-                acc[k] += w.sum()
-        return (2.0 * math.pi * variances) ** (-0.5 * d) * (n + 2.0 * acc)
-
-    return _scv_score(pair_sums, n, d, g)
-
-
-def _scv_binned_criterion_factory(x: np.ndarray, g: float):
-    """Smoothed cross-validation scores of a 1-D sample from binned pair sums.
-
-    The score of `_scv_score`, with each pair sum taken over the sample
-    linearly binned onto the grid ``min(x) + j delta``, ``delta = g /
-    _SCV_BINS_PER_PILOT``.  With ``c_j`` the binned counts and
-    ``L[k] = sum_j c_j c_{j+k}`` the lag counts, from one zero-padded real
-    FFT,
-
-        sum_{i,j} phi_v(X_i - X_j) ~ phi_v(0) L[0] + 2 sum_{k>=1} L[k] phi_v(k delta).
-
-    Each variance's lag sum stops where the exponent passes `_EXP_FLOOR`.
-    Time is O(n + M log M) and memory O(M) for the M grid points, with no
-    pair array.  With g the normal-scale bandwidth, M is below about
-    283 sqrt(2n) n^(1/5) + 2 (5e4 at n = 1000, 4e5 at n = 20000), because a
-    sample's range is at most sqrt(2(n-1)) standard deviations.
-    """
+def _lag_counts(x: np.ndarray, delta: float) -> np.ndarray:
+    """Ordered-pair counts of a 1-D sample at the lags ``k delta``: the lag
+    counts ``sum_j c_j c_{j+k}`` of its linear binning onto ``min(x) + j delta``,
+    from one zero-padded real FFT.  M < 283 sqrt(2n) n^(1/5) + 2 at delta =
+    h_ns / 300, as a sample's range is at most sqrt(2(n-1)) sds."""
     from numpy.fft import irfft, rfft
 
-    delta = g / _SCV_BINS_PER_PILOT
     pos = (x - x.min()) / delta
     left = pos.astype(np.intp)  # floor, as pos >= 0
     frac = pos - left
@@ -472,8 +419,64 @@ def _scv_binned_criterion_factory(x: np.ndarray, g: float):
     spec = rfft(counts, size)
     lags = irfft(spec.real**2 + spec.imag**2, size)[:m]
     lags[1:] *= 2.0  # lags k and -k
-    sq = np.square(np.arange(m) * delta)
-    buf = np.empty(m)
+    return lags
+
+
+def _distance_counts(points: np.ndarray, delta: float) -> np.ndarray:
+    """Ordered-pair counts of an (n, d) sample at the distances ``j delta``.
+
+    Each distance is binned linearly; the n diagonal pairs fall exactly on 0.
+    Rows go in blocks of about `_BLOCK_FLOATS` pairs: a block against itself
+    (its ordered pairs and diagonal), then against the later rows, counted
+    twice.  Memory is three block buffers plus M counts, M below the
+    bounding-box diagonal over delta plus 2: at delta = h_ns / 300, below
+    325 d sqrt(2n) n^(1/(d+4)) + 2, as a coordinate's range is at most
+    sqrt(2(n-1)) sds."""
+    n = points.shape[0]
+    grid = points / delta  # distances in grid steps
+    cols = np.ascontiguousarray(grid.T)
+    diag2 = 0.0  # summed like every squared distance, so none bins past it
+    for e in grid.max(axis=0) - grid.min(axis=0):
+        diag2 += e * e
+    m = int(math.sqrt(diag2)) + 2
+    size = max(_BLOCK_FLOATS, n)
+    dist, scratch, left = np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)
+    whole = np.zeros(m, dtype=np.int64)  # distances with their floor at bin j
+    frac = np.zeros(m)  # their summed fractional parts, owed to bin j + 1
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + max(1, _BLOCK_FLOATS // (n - lo)))
+        for c0, c1, times in ((lo, hi, 1), (hi, n, 2)):
+            shape = (hi - lo, c1 - c0)
+            k = shape[0] * shape[1]
+            r, f, j = dist[:k], scratch[:k], left[:k]
+            _sq_distances(r.reshape(shape), f.reshape(shape), cols[:, c0:c1], grid[lo:hi])
+            np.sqrt(r, out=r)
+            np.floor(r, out=f)
+            np.copyto(j, f, casting="unsafe")
+            np.subtract(r, f, out=r)
+            counted, fracs = np.bincount(j), np.bincount(j, r)
+            whole[: counted.size] += times * counted
+            frac[: fracs.size] += times * fracs
+        lo = hi
+    counts = whole - frac
+    counts[1:] += frac[:-1]
+    return np.trim_zeros(counts, "b")
+
+
+def _scv_binned_criterion_factory(points: np.ndarray, g: float):
+    """Smoothed cross-validation scores (`_scv_score`) from binned pair sums.
+
+    With ``C[j]`` the ordered-pair counts at ``j delta``, ``delta = g /
+    _SCV_BINS_PER_PILOT`` (`_lag_counts` for d = 1, else `_distance_counts`),
+    ``sum_{i,j} phi_v(X_i - X_j) ~ (2 pi v)^(-d/2) sum_j C[j] exp(-(j delta)^2
+    / (2 v))``, each sum stopping where the exponent passes `_EXP_FLOOR`.
+    """
+    n, d = points.shape
+    delta = g / _SCV_BINS_PER_PILOT
+    counts = _lag_counts(points[:, 0], delta) if d == 1 else _distance_counts(points, delta)
+    sq = np.square(np.arange(counts.size) * delta)
+    buf = np.empty(counts.size)
 
     def pair_sums(variances: np.ndarray) -> np.ndarray:
         # binned sum over all ordered pairs of phi_v(X_i - X_j), for each v
@@ -483,11 +486,11 @@ def _scv_binned_criterion_factory(x: np.ndarray, g: float):
             w = buf[:k]
             np.multiply(sq[:k], -0.5 / v, out=w)
             np.exp(w, out=w)
-            np.multiply(w, lags[:k], out=w)
+            np.multiply(w, counts[:k], out=w)
             acc[i] = w.sum()
-        return acc / np.sqrt(2.0 * math.pi * variances)
+        return acc / np.sqrt(2.0 * math.pi * variances) ** d
 
-    return _scv_score(pair_sums, x.size, 1, g)
+    return _scv_score(pair_sums, n, d, g)
 
 
 def select_bandwidth_scv(data) -> float:
@@ -496,24 +499,20 @@ def select_bandwidth_scv(data) -> float:
     Minimizes the smoothed CV score with a gaussian pilot at the
     normal-scale bandwidth: a coarse geometric grid of ``_SCV_GRID`` points
     over ``[h_ns / 10, 10 h_ns]`` locates the basin, then golden-section
-    search on log h refines it to ``_SCV_LOG_TOL``.  A 1-D sample is scored
-    on the binned criterion (`_scv_binned_criterion_factory`): O(n + M log M)
-    time and O(M) memory for M grid points, with h within about 1e-6
-    relative of the exact criterion's.  For d >= 2 every score is a sum over
-    one condensed array of the n(n-1)/2 pair squared distances, taken from
-    direct differences, so memory is n(n-1)/2 floats plus one block, and
-    more than `_MAX_SCV_PAIRS` pairs raise ValueError before allocating.
-    Either way the result does not depend on where the sample sits.  Needs
-    at least 10 points; rejects degenerate data.
+    search on log h refines it to ``_SCV_LOG_TOL``.  The scores come from
+    the pair distances binned once onto a grid of spacing h_ns / 300
+    (`_scv_binned_criterion_factory`), so h is within about 1e-6 relative of
+    the exact criterion's.  For M grid points, d = 1 takes O(n + M log M)
+    time; d >= 2 takes one O(n^2) pass, with M below about
+    325 d sqrt(2n) n^(1/(d+4)).  Memory is O(M) plus one block, and the
+    result does not depend on where the sample sits.  Needs at least 10
+    points; rejects degenerate data.
     """
     cloud = _as_cloud(data)
     if cloud.size < 10:
         raise ValueError(f"smoothed CV needs at least 10 points, got {cloud.size}")
     h_ns = select_bandwidth_normal_scale(cloud)
-    if cloud.dim == 1:
-        score = _scv_binned_criterion_factory(cloud.points[:, 0], g=h_ns)
-    else:
-        score = _scv_criterion_factory(cloud.points, g=h_ns)
+    score = _scv_binned_criterion_factory(cloud.points, g=h_ns)
 
     grid = np.geomspace(h_ns / 10.0, h_ns * 10.0, _SCV_GRID)
     k = int(np.argmin(score(grid)))

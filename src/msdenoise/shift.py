@@ -52,11 +52,11 @@ __all__ = [
 class ZeroDensityError(ValueError):
     """Raised when a shift step lands on zero or non-finite density.
 
-    The weighted-mean step raises it only for a non-finite query; the
-    gradient-ratio step also raises it where the density underflows to 0,
-    far from all mass.  Carries the index of the offending point within the
-    batch (0 for a single-point call) so callers can report which input
-    failed.
+    A fitted model raises it, in either step form, only for a non-finite
+    query or one whose squared distances to all data overflow; an analytic
+    source also where its density is 0.  Carries the index of the offending
+    point within the batch (0 for a single-point call) so callers can report
+    which input failed.
     """
 
     def __init__(self, index: int, value: float):
@@ -77,7 +77,6 @@ class AnalyticDensity:
     optional metadata used by the verification lab:
 
     - `modes` / `minima`: ``(k, d)`` arrays of critical points,
-    - `support`: optional membership indicator for a reference region,
     - `hess_sup`: sup norm of the second derivative matrix, when known,
     - `sampler`: ``(rng, n) -> (n, d)`` exact draws, when available.
     """
@@ -87,7 +86,6 @@ class AnalyticDensity:
     dim: int
     modes: Optional[np.ndarray] = None
     minima: Optional[np.ndarray] = None
-    support: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess_sup: Optional[float] = None
     sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
 
@@ -164,9 +162,22 @@ class ShiftOperator:
 
 
 def shift_step(op: ShiftOperator, x):
-    """One gradient-ratio step under `op`; accepts a point or an (m, d) batch."""
+    """One gradient-ratio step under `op`; accepts a point or an (m, d) batch.
+
+    A row where the density of a fitted model underflows to 0 takes its
+    density and gradient sums over max-shifted weights (`_far_field_weights`)
+    instead: the scale cancels in their ratio, so the step is still defined.
+    """
     q, single = _as_queries(x, op.dim)
     dens, grad = _eval_source(op.source, q)
+    if isinstance(op.source, DensityModel):
+        h = op.source.bandwidth
+        for i in np.flatnonzero(dens == 0.0):
+            cols = np.ascontiguousarray(op.source.data.points.T)
+            w = np.zeros((1, cols.shape[1]))
+            _far_field_weights(cols, h, q[i], w[0])
+            dens[i] = _row_sums(w)[0]
+            grad[i] = [_row_sums(w, c - qj)[0] / (h * h) for c, qj in zip(cols, q[i])]
     _require_positive(dens)
     out = q + (op.tau * op.tau) * grad / dens[:, None]
     return out[0] if single else out

@@ -342,16 +342,48 @@ def naive_scv_score(data, g, h):
     return (4.0 * math.pi) ** (-d / 2.0) / (n * h**d) + total / (n * n)
 
 
+def exact_scv_criterion(points, g):
+    """Exact smoothed CV scores over the n(n-1)/2 pair distances; the oracle."""
+    n, d = points.shape
+    upper = np.triu_indices(n, 1)
+    tri = sum(np.square(points[:, k, None] - points[None, :, k]) for k in range(d))[upper]
+
+    def pair_sums(variances):
+        return np.array([(2.0 * math.pi * v) ** (-0.5 * d) * (n + 2.0 * np.exp(tri * (-0.5 / v)).sum())
+                         for v in variances])
+
+    return density._scv_score(pair_sums, n, d, g)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_scv_criterion_matches_naive_double_loop(monkeypatch, d):
-    # 66 pairs in blocks of 7: nine full blocks and a partial last one
-    monkeypatch.setattr(density, "_BLOCK_FLOATS", 7)
+def test_scv_criterion_matches_naive_double_loop(d):
     data = np.random.default_rng(20 + d).normal(size=(12, d))
     g = select_bandwidth_normal_scale(data)
     hs = [g / 3.0, g, 3.0 * g]
-    got = density._scv_criterion_factory(data, g)(hs)
+    got = exact_scv_criterion(data, g)(hs)
     for h, value in zip(hs, got):
         assert value == pytest.approx(naive_scv_score(data, g, h), rel=1e-10)
+
+
+@pytest.mark.parametrize("block", [7, 100, density._BLOCK_FLOATS])
+@pytest.mark.parametrize("d", [2, 3])
+def test_distance_counts_match_direct_binning(monkeypatch, d, block):
+    """Blocked counts equal linear binning of the full ordered-pair distance matrix."""
+    monkeypatch.setattr(density, "_BLOCK_FLOATS", block)
+    rng = np.random.default_rng(40 + d)
+    points = np.vstack([rng.normal(size=(60, d)), rng.normal(size=(13, d)) * 5.0 + 3.0])
+    points = np.vstack([points, points[:9]])  # duplicated rows: distance 0 off the diagonal
+    delta = 0.07
+    dist = np.sqrt(sum(np.square(points[:, k, None] - points[None, :, k]) for k in range(d))).ravel()
+    pos = dist / delta
+    left = np.floor(pos).astype(np.intp)
+    frac = pos - left
+    m = left.max() + 2
+    ref = np.bincount(left, 1.0 - frac, m) + np.bincount(left + 1, frac, m)
+    got = density._distance_counts(points, delta)
+    np.testing.assert_allclose(got, np.trim_zeros(ref, "b"), rtol=1e-12, atol=1e-9)
+    assert got[0] >= len(points) + 2 * 9
+    assert got.sum() == pytest.approx(len(points) ** 2, rel=1e-14)
 
 
 def _binned_scv_inputs():
@@ -367,51 +399,81 @@ def _binned_scv_inputs():
 
 @pytest.mark.parametrize("name", ["gmm", "outlier", "cauchy", "duplicates", "n10"])
 def test_scv_binned_criterion_matches_exact(name):
-    x = _binned_scv_inputs()[name]
+    x = _binned_scv_inputs()[name][:, None]
     g = select_bandwidth_normal_scale(x)
     grid = np.geomspace(g / 10.0, g * 10.0, density._SCV_GRID)
     binned = density._scv_binned_criterion_factory(x, g)(grid)
-    exact = density._scv_criterion_factory(x[:, None], g)(grid)
-    np.testing.assert_allclose(binned, exact, rtol=1e-5, atol=0)
+    np.testing.assert_allclose(binned, exact_scv_criterion(x, g)(grid), rtol=1e-5, atol=0)
 
 
 @pytest.mark.parametrize("name", ["gmm", "outlier", "cauchy", "duplicates", "n10"])
 def test_scv_binned_selection_matches_exact(monkeypatch, name):
     x = _binned_scv_inputs()[name]
     binned = select_bandwidth_scv(x)
-    monkeypatch.setattr(density, "_scv_binned_criterion_factory",
-                        lambda x, g: density._scv_criterion_factory(x[:, None], g))
+    monkeypatch.setattr(density, "_scv_binned_criterion_factory", exact_scv_criterion)
     assert binned == pytest.approx(select_bandwidth_scv(x), rel=2e-6)
 
 
-def test_scv_binned_memory_at_20k_points():
+def t2_outlier_mixture(n, d, seed):
+    """Two gaussian clusters plus a tenth of the rows from a t distribution with 2 dof."""
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, d))
+    points[: n // 2, 0] += 4.0
+    points[: n // 10] = rng.standard_t(2, size=(n // 10, d)) * 3.0
+    return points
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_scv_distance_binned_criterion_matches_exact(d):
+    x = t2_outlier_mixture(400, d, seed=50 + d)
+    g = select_bandwidth_normal_scale(x)
+    grid = np.geomspace(g / 10.0, g * 10.0, density._SCV_GRID)
+    binned = density._scv_binned_criterion_factory(x, g)(grid)
+    np.testing.assert_allclose(binned, exact_scv_criterion(x, g)(grid), rtol=1e-5, atol=0)
+
+
+def _distance_binned_scv_inputs(name):
+    from msdenoise.synthetic import _generate_case
+
+    if name == "t2-mixture-3d":
+        return t2_outlier_mixture(900, 3, seed=61)
+    return _generate_case(name, np.random.default_rng(60)).cloud.points
+
+
+@pytest.mark.parametrize("name", ["bullseye1", "spiral4", "t2-mixture-3d"])
+def test_scv_distance_binned_selection_matches_exact(monkeypatch, name):
+    x = _distance_binned_scv_inputs(name)
+    binned = select_bandwidth_scv(x)
+    monkeypatch.setattr(density, "_scv_binned_criterion_factory", exact_scv_criterion)
+    assert binned == pytest.approx(select_bandwidth_scv(x), rel=2e-6)
+
+
+def _peak_traced_bytes(f, *args):
     import tracemalloc
 
-    # the exact criterion would hold n(n-1)/2 floats, 1.6 GB here
-    x = np.random.default_rng(32).normal(size=20_000)
     tracemalloc.start()
     try:
-        h = select_bandwidth_scv(x)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = f(*args)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_scv_binned_memory_at_20k_points():
+    # the exact criterion would hold n(n-1)/2 floats, 1.6 GB here
+    x = np.random.default_rng(32).normal(size=20_000)
+    h, peak = _peak_traced_bytes(select_bandwidth_scv, x)
     assert peak < 50e6
     assert select_bandwidth_normal_scale(x) / 2.0 < h < select_bandwidth_normal_scale(x) * 2.0
 
 
-def test_scv_exact_size_limit_fails_before_pdist(monkeypatch):
-    import scipy.spatial.distance
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("pair distances computed")
-
-    monkeypatch.setattr(scipy.spatial.distance, "pdist", refuse)
-    limit = density._MAX_SCV_PAIRS
-    n = math.isqrt(2 * limit) + 1  # the fewest points with more than `limit` pairs
-    assert (n - 1) * (n - 2) // 2 <= limit < n * (n - 1) // 2
-    data = np.random.default_rng(33).normal(size=(n, 2))
-    with pytest.raises(ValueError, match=f"n={n} exceeds the limit of {limit} pairs"):
-        select_bandwidth_scv(data)
+def test_scv_distance_binned_memory_at_20k_points():
+    # a condensed array of the pair distances would be 1.6 GB here; the
+    # blocked counts hold three block buffers and the grid counts
+    x = np.random.default_rng(32).normal(size=(20_000, 2))
+    h, peak = _peak_traced_bytes(select_bandwidth_scv, x)
+    assert peak < 10e6
+    assert select_bandwidth_normal_scale(x) / 2.0 < h < select_bandwidth_normal_scale(x) * 2.0
 
 
 def test_scv_requires_ten_points():

@@ -7,7 +7,8 @@ only the order and rounding of the kernel sums, so those agree to a stated
 tolerance; so do the path-length anomaly scores under data translation and
 row order, whose ranking is the same up to tied scores.  The normal-scale
 bandwidth is translation and row-permutation invariant and
-scale equivariant.  Examples are derandomized so every run checks the same
+scale equivariant.  k-means labels do not move when the sample is
+translated by up to 1e8.  Examples are derandomized so every run checks the same
 cases.
 """
 
@@ -23,6 +24,7 @@ from msdenoise import (  # noqa: E402
     anomaly_scores,
     denoise,
     fit,
+    kmeans,
     select_bandwidth_normal_scale,
 )
 
@@ -47,7 +49,7 @@ SD_TRANSLATION_RTOL = 1e-9
 def shift_cases(draw, dims=(1, 3)):
     """Data, queries, bandwidth and sweep count for a small KDE operator."""
     d = draw(st.integers(*dims))
-    n = draw(st.integers(2, 60))
+    n = draw(st.integers(1, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     data = rng.normal(size=(n, d))
     queries = rng.normal(scale=2.0, size=(draw(st.integers(1, 40)), d))
@@ -179,3 +181,26 @@ def test_anomaly_scores_row_permutation_equivariant(case, data):
     _assert_same_ranking(order[permuted.ranking], base.ranking, base.scores)
     np.testing.assert_allclose(permuted.scores, base.scores[order],
                                rtol=ANOMALY_RTOL, atol=ANOMALY_RTOL)
+
+
+@st.composite
+def cluster_samples(draw):
+    """Two to four gaussian clusters of unit spread, 1 to 4 apart, in 1 to 3 dimensions."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centres = np.zeros((k, d))
+    centres[:, 0] = np.cumsum(rng.uniform(1.0, 4.0, size=k))
+    sizes = rng.integers(5, 40, size=k)
+    pts = np.vstack([c + rng.normal(size=(m, d)) for c, m in zip(centres, sizes)])
+    return pts, k
+
+
+@SETTINGS
+@given(case=cluster_samples(), data=st.data())
+def test_kmeans_translation_invariant(case, data):
+    """Distances from direct differences keep the labels at offsets up to 1e8."""
+    x, k = case
+    offset = np.array(data.draw(st.lists(st.floats(-1e8, 1e8), min_size=x.shape[1],
+                                         max_size=x.shape[1])))
+    assert np.array_equal(kmeans(x + offset, k, rng_seed=3).labels, kmeans(x, k, rng_seed=3).labels)

@@ -1,10 +1,10 @@
 """Property tests of smoothed cross-validation bandwidth selection.
 
 The selected bandwidth must not move when the sample is translated or its
-rows are reordered, and must scale with the sample.  d = 1 runs the binned
-criterion and d = 2 the exact one.  Samples are small gaussian mixtures,
-some with duplicated rows; examples are derandomized so every run checks the
-same cases.
+rows are reordered, and must scale with the sample.  d = 1 bins positions
+and takes lag counts by FFT; d = 2 and 3 bin the pair distances in row
+blocks.  Samples are small gaussian mixtures, some with duplicated rows;
+examples are derandomized so every run checks the same cases.
 """
 
 import numpy as np
@@ -32,7 +32,7 @@ def samples(draw, d):
     return np.vstack([points, points[:repeats]])
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 @SETTINGS
 @given(data=st.data())
 def test_translation_invariant(d, data):
@@ -41,7 +41,7 @@ def test_translation_invariant(d, data):
     assert select_bandwidth_scv(x + offset) == pytest.approx(select_bandwidth_scv(x), rel=1e-6)
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 @SETTINGS
 @given(data=st.data())
 def test_row_permutation_invariant(d, data):
@@ -50,7 +50,7 @@ def test_row_permutation_invariant(d, data):
     assert select_bandwidth_scv(x[order]) == pytest.approx(select_bandwidth_scv(x), rel=1e-6)
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("factor", [7.0, 1e-3])
 @SETTINGS
 @given(data=st.data())

@@ -485,3 +485,30 @@ def test_far_field_step_takes_max_shifted_weights(d):
         ref /= sum(weights)
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
         assert density_at(m, got) > 0.0
+
+
+def test_ratio_step_far_field_takes_max_shifted_weights():
+    """At tau != h a query whose every weight underflows still steps.
+
+    Its density and gradient sums come from max-shifted weights, so it moves
+    (tau / h)^2 of the way to the weighted mean; the in-range rows of the
+    same batch keep the bits they have without it.
+    """
+    rng = np.random.default_rng(0)
+    data = rng.normal(size=(30, 1))
+    m = fit(data, 1.0)
+    op = ShiftOperator(m, tau=0.5)
+    assert density_at(m, [45.0]) == 0.0
+    expo = [-((45.0 - x) ** 2) / 2.0 for x in data[:, 0]]
+    weights = [math.exp(e - max(expo)) for e in expo]
+    mean = sum(w * x for w, x in zip(weights, data[:, 0])) / sum(weights)
+    got = shift_step(op, [45.0])
+    assert got[0] == pytest.approx(45.0 + 0.25 * (mean - 45.0), rel=1e-12)
+    assert got[0] == pytest.approx(45.0 + 0.25 * (empirical_step_weighted_mean(m, [45.0])[0] - 45.0),
+                                   rel=1e-12)
+    near = rng.normal(size=(4, 1))
+    batch = np.vstack([near[:2], [[45.0]], near[2:]])
+    out = shift_step(op, batch)
+    assert np.array_equal(np.delete(out, 2, axis=0), shift_step(op, near))
+    assert np.array_equal(out[2], got)
+    assert np.array_equal(op.step(batch), out)
