@@ -5,8 +5,10 @@ shifts a CSV of points, `cluster-eval` scores clustering before/after
 denoising, `twosample` runs the power-curve harnesses, `anomaly` ranks points
 by shift path length, and `theory` runs the Monte Carlo property checks and
 fails (exit 3) on violations.  The experiments themselves live in the library
-(`clustering`, `twosample`, `anomaly`, `theory_lab`); this module reads CSVs
-and reference datasets, checks flags, and writes CSVs and reports.  Every run
+(`clustering`, `twosample`, `anomaly`, `theory_lab`), which owns their
+defaults and argument checks; this module reads CSVs and reference datasets,
+checks the flags that must fail before a bandwidth is selected, and writes
+CSVs and reports.  `theory_lab` is the one module loaded on demand.  Every run
 prints a JSON report that embeds its configuration and the package version;
 reruns with the same inputs and seed are byte-identical.
 """
@@ -14,6 +16,7 @@ reruns with the same inputs and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -21,15 +24,25 @@ import sys
 import numpy as np
 
 from . import __version__
-from .synthetic import _CASES
+from .anomaly import anomaly_scores, top_k
+from .clustering import run_clustering_case, run_dataset_eval
+from .density import PointCloud, fit, select_bandwidth_scv
+from .density import standardize as _standardize
+from .shift import ShiftOperator, denoise
+from .synthetic import (
+    _CASES,
+    _generate_case,
+    _rng,
+    default_anomaly_scenario,
+    gen_bullseye,
+    gen_gmm_1d,
+    gen_spiral,
+)
+from .twosample import power_experiment_mixture_proportion, power_experiment_uniform_noise
 
 
-class CliError(Exception):
-    """User-facing command failure with an exit code."""
-
-    def __init__(self, message, code=2):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """User-facing command failure: `main` prints it and exits 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +56,6 @@ def _read_csv(path):
     non-numeric first row.  Malformed cells are reported with their line and
     column; non-finite values are rejected.
     """
-    import csv
-
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [r for r in csv.reader(fh) if r]
@@ -126,14 +137,7 @@ def load_dataset(name, path, standardize=True, with_labels=False):
         raise CliError(
             f"{path}: {name} should be {n_exp}x{d_exp} (optionally +1 label "
             f"column), found {arr.shape[0]}x{arr.shape[1]}")
-    if standardize:
-        from .density import standardize as _standardize
-
-        cloud, _ = _standardize(arr)
-    else:
-        from .density import PointCloud
-
-        cloud = PointCloud(arr)
+    cloud = _standardize(arr)[0] if standardize else PointCloud(arr)
     return (cloud, labels) if with_labels else cloud
 
 
@@ -189,8 +193,6 @@ def _parse_bandwidth(spec):
 
 
 def _resolve_bandwidth(spec, points):
-    from .density import select_bandwidth_scv
-
     h = _parse_bandwidth(spec)
     return select_bandwidth_scv(points) if h == "scv" else h
 
@@ -200,15 +202,6 @@ def _resolve_bandwidth(spec, points):
 
 
 def cmd_gen(args):
-    from .synthetic import (
-        _generate_case,
-        _rng,
-        default_anomaly_scenario,
-        gen_bullseye,
-        gen_gmm_1d,
-        gen_spiral,
-    )
-
     rng = _rng(args.seed)
     if args.case in _CASES:
         labeled = _generate_case(args.case, rng)
@@ -238,9 +231,6 @@ def cmd_gen(args):
 
 
 def cmd_denoise(args):
-    from .density import fit
-    from .shift import ShiftOperator, denoise
-
     if args.sweeps < 1:
         raise CliError("--sweeps must be >= 1")
     arr, header = _read_csv(args.input)
@@ -258,10 +248,6 @@ def cmd_denoise(args):
 
 
 def cmd_cluster_eval(args):
-    from .clustering import run_clustering_case, run_dataset_eval
-
-    if args.reps < 1:
-        raise CliError("--reps must be >= 1")
     if args.dataset:
         if not args.input:
             raise CliError("--dataset requires --input pointing at the CSV file")
@@ -295,23 +281,16 @@ def cmd_cluster_eval(args):
 
 
 def cmd_twosample(args):
-    from .twosample import (
-        power_experiment_mixture_proportion,
-        power_experiment_uniform_noise,
-    )
-
-    if args.reps < 1:
-        raise CliError("--reps must be >= 1")
     common = dict(n0=args.n0, n_reps=args.reps, alpha=args.alpha, msd=args.msd,
                   rng_seed=args.seed, test=args.test, n_perm=args.n_perm)
     if args.scenario == "noise":
-        grid = ([int(v) for v in args.grid.split(",")] if args.grid
-                else (0, 100, 200, 300, 400, 500))
-        curve = power_experiment_uniform_noise(noise_grid=grid, **common)
+        run, grid_arg, cast = power_experiment_uniform_noise, "noise_grid", int
     else:
-        grid = ([float(v) for v in args.grid.split(",")] if args.grid
-                else (0.5, 0.45, 0.4, 0.35, 0.3, 0.25, 0.2))
-        curve = power_experiment_mixture_proportion(pi_grid=grid, **common)
+        run, grid_arg, cast = power_experiment_mixture_proportion, "pi_grid", float
+    # without --grid the library's default grid applies
+    if args.grid:
+        common[grid_arg] = [cast(v) for v in args.grid.split(",")]
+    curve = run(**common)
     if args.out_csv:
         curve.to_csv(args.out_csv)
     report = _report(args, **curve.to_dict())
@@ -319,23 +298,16 @@ def cmd_twosample(args):
 
 
 def cmd_anomaly(args):
-    from .anomaly import anomaly_scores, top_k
-    from .density import fit
-
     planted = None
     if args.input:
         arr, _ = _read_csv(args.input)
     else:
-        from .synthetic import default_anomaly_scenario
-
         scenario = default_anomaly_scenario(rng_seed=args.seed)
         arr = scenario.cloud.points
         planted = np.flatnonzero(scenario.labels == scenario.labels.max())
     rows = arr.shape[0]
-    if args.k > rows:
-        raise CliError(f"--k must be <= {rows}")
-    if args.k < 0:
-        raise CliError(f"k must be in 0..{rows}")
+    if not 0 <= args.k <= rows:
+        raise CliError(f"--k must be in 0..{rows}")
     if args.max_iter < 1:
         raise CliError("--max-iter must be >= 1")
     h = _resolve_bandwidth(args.h, arr)
@@ -362,7 +334,7 @@ def cmd_anomaly(args):
 
 
 def cmd_theory(args):
-    import msdenoise.theory_lab as lab  # on demand, like the other experiment modules
+    from . import theory_lab as lab  # the one module loaded on demand
 
     payload = lab.run_check(args.check, args.seed)
     passed = all(payload["checks"].values())
@@ -469,9 +441,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

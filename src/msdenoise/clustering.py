@@ -64,14 +64,14 @@ def _kmeans_once(pts, k, rng):
     n = pts.shape[0]
     centers = np.empty((k, pts.shape[1]))
     centers[0] = pts[int(rng.integers(n))]
-    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    d2 = _sq_dists(pts, centers[:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total > 0.0:
             centers[j] = pts[rng.choice(n, p=d2 / total)]
         else:
             centers[j] = pts[int(rng.integers(n))]
-        d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
+        d2 = np.minimum(d2, _sq_dists(pts, centers[j:j + 1])[:, 0])
 
     labels = None
     history = []
@@ -267,20 +267,13 @@ def _label_array(x) -> np.ndarray:
     return arr
 
 
-def _canonical(labels):
-    """Relabel ids by order of first appearance."""
-    _, first = np.unique(labels, return_index=True)
-    order = {labels[i]: rank for rank, i in enumerate(np.sort(first))}
-    return np.array([order[v] for v in labels], dtype=np.int64)
-
-
 def ari(a, b) -> float:
     """Adjusted Rand Index between two partitions of the same points.
 
-    Pair-counting index with the Hubert-Arabie chance adjustment.  When the
-    adjustment denominator vanishes (both partitions all-singletons or both
-    a single block) the index is defined as 1 if the partitions are equal
-    and 0 otherwise.
+    Pair-counting index with the Hubert-Arabie chance adjustment.  The
+    adjustment denominator vanishes only when both partitions are
+    all-singletons or both a single block (a single point is both), so the
+    partitions are equal and the index is 1.
     """
     la, lb = _label_array(a), _label_array(b)
     if la.shape != lb.shape:
@@ -288,6 +281,8 @@ def ari(a, b) -> float:
     n = la.size
     if n == 0:
         raise ValueError("empty label vectors")
+    if n == 1:
+        return 1.0
 
     _, ia = np.unique(la, return_inverse=True)
     _, ib = np.unique(lb, return_inverse=True)
@@ -305,7 +300,7 @@ def ari(a, b) -> float:
     max_index = 0.5 * (rows + cols)
     denom = max_index - expected
     if denom == 0.0:
-        return 1.0 if np.array_equal(_canonical(la), _canonical(lb)) else 0.0
+        return 1.0
     return float((within - expected) / denom)
 
 
@@ -355,7 +350,7 @@ def run_clustering_case(case, algo="spectral", k=2, n_reps=50, rng_seed=0,
     if case not in _CASES:
         raise ValueError(f"unknown case {case!r}; choose from {sorted(_CASES)}")
     if n_reps < 1:
-        raise ValueError("--reps must be >= 1")
+        raise ValueError("n_reps must be >= 1")
     knn_default, sigma_default = _CASE_SPECTRAL[_CASES[case][0]]
     if knn is None:
         knn = knn_default
@@ -388,6 +383,8 @@ def run_dataset_eval(name, points, labels, k, algo="spectral", n_reps=10,
     denoised copy (one sweep, bandwidth a number or "scv") is made once.
     `name` labels the report.
     """
+    if n_reps < 1:
+        raise ValueError("n_reps must be >= 1")
     pts = _as_cloud(points).points
     if msd:
         moved = _denoised(pts, bandwidth)

@@ -172,8 +172,9 @@ def shift_step(op: ShiftOperator, x):
     dens, grad = _eval_source(op.source, q)
     if isinstance(op.source, DensityModel):
         h = op.source.bandwidth
-        for i in np.flatnonzero(dens == 0.0):
-            cols = np.ascontiguousarray(op.source.data.points.T)
+        under = np.flatnonzero(dens == 0.0)
+        cols = np.ascontiguousarray(op.source.data.points.T) if under.size else None
+        for i in under:
             w = np.zeros((1, cols.shape[1]))
             _far_field_weights(cols, h, q[i], w[0])
             dens[i] = _row_sums(w)[0]

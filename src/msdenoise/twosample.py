@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import _as_cloud
+from .density import _as_cloud, fit, select_bandwidth_scv
+from .shift import ShiftOperator
 from .synthetic import _rng, gen_gmm_1d
 
 # uniform contamination support for the noise experiment: covers the mixture
@@ -297,9 +298,6 @@ def msd_pipeline(points) -> np.ndarray:
     Bandwidth by smoothed cross-validation; every point moved once by the
     weighted-mean step.
     """
-    from .density import fit, select_bandwidth_scv
-    from .shift import ShiftOperator
-
     pts = _as_cloud(points).points
     model = fit(pts, select_bandwidth_scv(pts))
     return ShiftOperator(model).step(pts)
@@ -362,6 +360,8 @@ class PowerCurve:
 
 
 def _run_power_grid(make_samples, grid, n_reps, alpha, msd, rng_seed, test, n_perm):
+    if n_reps < 1:
+        raise ValueError("n_reps must be >= 1")
     before = np.zeros(len(grid))
     after = np.zeros(len(grid)) if msd else None
     for gi, value in enumerate(grid):

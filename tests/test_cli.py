@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import msdenoise.cli
 from msdenoise.cli import CliError, _read_csv, load_dataset, main
 
 
@@ -289,28 +290,25 @@ def test_anomaly_k_too_large(tmp_path):
 
 @pytest.mark.parametrize("k", ["81", "-1"])
 def test_anomaly_k_checked_before_scoring(tmp_path, monkeypatch, k):
-    import msdenoise.anomaly
-
     def fail(*args, **kwargs):
         raise AssertionError("scored before --k was checked")
 
-    monkeypatch.setattr(msdenoise.anomaly, "anomaly_scores", fail)
-    monkeypatch.setattr(msdenoise.density, "select_bandwidth_scv", fail)
+    # patched where the CLI binds them
+    monkeypatch.setattr(msdenoise.cli, "anomaly_scores", fail)
+    monkeypatch.setattr(msdenoise.cli, "select_bandwidth_scv", fail)
     src = tmp_path / "pts.csv"
     main(["gen", "--case", "bullseye", "--n0", "80", "--out", str(src), "--no-labels"])
     assert main(["anomaly", "--input", str(src), "--k", k]) == 2
 
 
 def test_anomaly_max_iter_checked_before_bandwidth_selection(monkeypatch):
-    import msdenoise.density
-
     calls = []
 
     def spy(*args, **kwargs):
         calls.append(args)
         raise AssertionError("bandwidth selected before --max-iter was checked")
 
-    monkeypatch.setattr(msdenoise.density, "select_bandwidth_scv", spy)
+    monkeypatch.setattr(msdenoise.cli, "select_bandwidth_scv", spy)
     assert main(["anomaly", "--max-iter", "0"]) == 2
     assert calls == []
 

@@ -14,6 +14,8 @@ from msdenoise.clustering import (
     ari,
     hierarchical,
     kmeans,
+    run_clustering_case,
+    run_dataset_eval,
     spectral,
 )
 
@@ -305,11 +307,23 @@ class TestARI:
             assert ari(a, b) == pytest.approx(want, abs=1e-12)
             checked += 1
 
+    @pytest.mark.filterwarnings("error")
     def test_degenerate_denominator(self):
         assert ari([0, 1, 2], [2, 0, 1]) == 1.0  # both all-singletons
         assert ari([0, 0, 0], [1, 1, 1]) == 1.0  # both one block
+        assert ari([0], [0]) == ari([0], [3]) == 1.0  # one point: both at once
         assert ari([0, 1, 2], [0, 0, 0]) == 0.0  # formula path, zero index
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             ari([0, 1], [0, 1, 1])
+
+
+class TestExperiments:
+    @pytest.mark.parametrize("n_reps", [0, -1])
+    def test_no_replicates_rejected(self, n_reps):
+        pts, labels = two_blobs(n_per=10)
+        with pytest.raises(ValueError, match="n_reps must be >= 1"):
+            run_dataset_eval("blobs", pts, labels, 2, algo="kmeans", n_reps=n_reps)
+        with pytest.raises(ValueError, match="n_reps must be >= 1"):
+            run_clustering_case("bullseye1", algo="kmeans", n_reps=n_reps)

@@ -338,3 +338,9 @@ class TestPowerExperiments:
             power_experiment_uniform_noise(n0=20, noise_grid=[-5], n_reps=2)
         with pytest.raises(ValueError):
             power_experiment_mixture_proportion(pi_grid=[0.5, 1.0], n0=20, n_reps=2)
+
+    @pytest.mark.parametrize("experiment", [power_experiment_uniform_noise,
+                                            power_experiment_mixture_proportion])
+    def test_no_replicates_rejected(self, experiment):
+        with pytest.raises(ValueError, match="n_reps must be >= 1"):
+            experiment(n0=20, n_reps=0, msd=False)
