@@ -20,6 +20,13 @@ from .shift import ShiftOperator
 from .synthetic import _CASES, _generate_case, _rng
 
 _MAX_LLOYD = 300
+# k-means++ restarts per `kmeans` call.  Their Lloyd iterations run as one
+# batch, one leading array index per restart.
+_RESTARTS = 10
+# A Lloyd batch peaks at (d + 7) n to (d + 8) n 8-byte words per restart
+# by tracemalloc; inputs too large to batch every restart under this many words
+# run their restarts in smaller batches.
+_BATCH_WORDS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -46,71 +53,129 @@ class LabelSet:
         return self.labels.size
 
 
-def _sq_dists(x, centers):
-    # direct differences, one centre at a time (k is small): translating the
-    # data moves no distance by more than its rounding
-    d2 = np.empty((x.shape[0], centers.shape[0]))
-    for j, c in enumerate(centers):
-        np.square(x - c).sum(axis=1, out=d2[:, j])
-    return d2
+def _sq_dist(pts, centres):
+    """Squared distances (A, n) from each point to each of A centres (A, d).
+
+    Direct differences, not the expanded square: translating the data moves
+    no distance by more than its rounding.
+    """
+    diff = pts - centres[:, None, :]
+    return np.square(diff, out=diff).sum(axis=2)
 
 
-def _kmeans_once(pts, k, rng):
-    """One seeded k-means++ run of Lloyd's algorithm.
+def _kmeanspp(pts, k, rngs):
+    """k-means++ seeds (A, k, d), one seeding per generator in `rngs`.
 
-    Returns (labels, wcss, history) where history holds the objective value
-    at each assignment step; it never increases.
+    Each generator makes the draws a lone seeding would make; only the
+    distance updates are shared.
     """
     n = pts.shape[0]
-    centers = np.empty((k, pts.shape[1]))
-    centers[0] = pts[int(rng.integers(n))]
-    d2 = _sq_dists(pts, centers[:1])[:, 0]
+    centres = np.empty((len(rngs), k, pts.shape[1]))
+    for a, rng in enumerate(rngs):
+        centres[a, 0] = pts[int(rng.integers(n))]
+    d2 = _sq_dist(pts, centres[:, 0])
     for j in range(1, k):
-        total = d2.sum()
-        if total > 0.0:
-            centers[j] = pts[rng.choice(n, p=d2 / total)]
-        else:
-            centers[j] = pts[int(rng.integers(n))]
-        d2 = np.minimum(d2, _sq_dists(pts, centers[j:j + 1])[:, 0])
-
-    labels = None
-    history = []
-    for _ in range(_MAX_LLOYD):
-        dist2 = _sq_dists(pts, centers)
-        new_labels = np.argmin(dist2, axis=1)
-        history.append(float(dist2[np.arange(n), new_labels].sum()))
-        if labels is not None and np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        for j in range(k):
-            members = pts[labels == j]
-            if members.shape[0]:
-                centers[j] = members.mean(axis=0)
+        for a, rng in enumerate(rngs):
+            total = d2[a].sum()
+            if total > 0.0:
+                centres[a, j] = pts[rng.choice(n, p=d2[a] / total)]
             else:
-                # re-seed an emptied cluster at the point farthest from its
-                # current center
-                far = np.argmax(dist2[np.arange(n), labels])
-                centers[j] = pts[far]
-    # report the objective of the final centres
-    wcss = float(((pts - centers[labels]) ** 2).sum())
-    return labels, wcss, history
+                centres[a, j] = pts[int(rng.integers(n))]
+        np.minimum(d2, _sq_dist(pts, centres[:, j]), out=d2)
+    return centres
 
 
-def kmeans(data, k, rng_seed=0, restarts=10) -> LabelSet:
-    """Best-of-`restarts` k-means++ / Lloyd clustering into k groups."""
+def _assign(pts, centres):
+    """Nearest of k centres (A, k, d) for every point, under each of A sets.
+
+    Returns labels (A, n), the first nearest centre on ties as `argmin`
+    picks it, and each point's squared distance to that centre.
+    """
+    own = _sq_dist(pts, centres[:, 0])
+    labels = np.zeros(own.shape, dtype=np.int64)
+    for j in range(1, centres.shape[1]):
+        d2 = _sq_dist(pts, centres[:, j])
+        closer = d2 < own
+        labels[closer] = j
+        np.copyto(own, d2, where=closer)
+    return labels, own
+
+
+def _move_centres(pts, labels, centres, own):
+    """Move each centre of `centres` (A, k, d) to the mean of its members.
+
+    A cluster left empty is re-seeded at the point farthest from its own
+    centre (`own`, from `_assign`).  Means have the bits of
+    `members.mean(axis=0)`: with d >= 2 that sums the rows in order, as
+    `np.bincount` does, but with d = 1 it sums pairwise.
+    """
+    n_sets, k, d = centres.shape
+    keys = (labels + k * np.arange(n_sets)[:, None]).ravel()
+    counts = np.bincount(keys, minlength=n_sets * k).reshape(n_sets, k)
+    if d == 1:
+        for a, j in zip(*np.nonzero(counts)):
+            centres[a, j] = pts[labels[a] == j].mean(axis=0)
+    else:
+        tiled = np.tile(pts.T, n_sets)
+        sums = np.stack([np.bincount(keys, weights=col, minlength=n_sets * k)
+                         for col in tiled], axis=1).reshape(n_sets, k, d)
+        full = counts > 0
+        centres[full] = sums[full] / counts[full][:, None]
+    for a, j in zip(*np.nonzero(counts == 0)):
+        centres[a, j] = pts[np.argmax(own[a])]
+
+
+def _lloyd(pts, centres):
+    """Lloyd's algorithm from each of A seedings (A, k, d), as one batch.
+
+    Returns (labels, wcss, histories): per seeding, the final assignment,
+    the within-cluster sum of squares of the final centres, and the
+    objective at each assignment step, which never increases.  A seeding
+    stops when its assignment repeats, as it would alone, and the rest go on.
+    """
+    n_sets = centres.shape[0]
+    labels = np.empty((n_sets, pts.shape[0]), dtype=np.int64)
+    histories = [[] for _ in range(n_sets)]
+    live = np.arange(n_sets)
+    for step in range(_MAX_LLOYD):
+        cen = centres[live]
+        new, own = _assign(pts, cen)
+        for a, objective in zip(live.tolist(), own.sum(axis=1).tolist()):
+            histories[a].append(objective)
+        if step:
+            moved = (new != labels[live]).any(axis=1)
+            live, cen, new, own = live[moved], cen[moved], new[moved], own[moved]
+            if not live.size:
+                break
+        labels[live] = new
+        _move_centres(pts, new, cen, own)
+        centres[live] = cen
+    diff = centres[np.arange(n_sets)[:, None], labels]
+    np.subtract(pts, diff, out=diff)
+    wcss = np.square(diff, out=diff).reshape(n_sets, -1).sum(axis=1)
+    return labels, wcss, histories
+
+
+def kmeans(data, k, rng_seed=0) -> LabelSet:
+    """Best of `_RESTARTS` k-means++ / Lloyd runs into k groups.
+
+    Restart r draws from its own generator, `_rng(rng_seed, r)`; the first
+    restart of least within-cluster sum of squares wins.
+    """
     pts = _as_cloud(data).points
-    n = pts.shape[0]
+    n, d = pts.shape
     k = int(k)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    if restarts < 1:
-        raise ValueError("restarts must be positive")
-    best = None
-    for r in range(restarts):
-        labels, wcss, _ = _kmeans_once(pts, k, _rng(rng_seed, r))
-        if best is None or wcss < best[1]:
-            best = (labels, wcss)
-    return LabelSet(best[0], k)
+    batch = max(1, min(_RESTARTS, _BATCH_WORDS // ((d + 8) * n)))
+    best, best_wcss = None, None
+    for first in range(0, _RESTARTS, batch):
+        rngs = [_rng(rng_seed, r) for r in range(first, min(first + batch, _RESTARTS))]
+        labels, wcss, _ = _lloyd(pts, _kmeanspp(pts, k, rngs))
+        a = int(np.argmin(wcss))
+        if best is None or wcss[a] < best_wcss:
+            best, best_wcss = labels[a], wcss[a]
+    return LabelSet(best, k)
 
 
 def _auto_sigma(pts, rng_seed):
@@ -128,26 +193,31 @@ def _auto_sigma(pts, rng_seed):
 
 
 def _affinity(pts, sigma, knn=None):
-    """Gaussian affinity matrix, zero diagonal, optionally kNN-sparsified."""
+    """Gaussian affinity matrix, zero diagonal, optionally kNN-sparsified.
+
+    `knn`, when given, must lie in 1..n-1; `spectral` checks it.
+    """
     from scipy.spatial.distance import squareform, pdist
 
     n = pts.shape[0]
-    # exp over the n(n-1)/2 condensed distances; squareform zeroes the diagonal
-    pair_dist = pdist(pts)
-    aff = squareform(np.exp(pair_dist**2 / (-2.0 * sigma**2)))
+    pair = pdist(pts)
     if knn is not None:
-        knn = int(knn)
-        if not 1 <= knn < n:
-            raise ValueError(f"knn must be in 1..{n - 1}")
-        dist = squareform(pair_dist)
-        del pair_dist  # not needed past here; keeps the peak at 3.25 n^2 words
+        dist = squareform(pair)
         np.fill_diagonal(dist, np.inf)
-        keep = np.zeros_like(aff, dtype=bool)
-        # a copy, so the n x n index array is freed before the masked copy
+        # a copy, so the n x n index array is freed with the distances
         nearest = np.argpartition(dist, knn - 1, axis=1)[:, :knn].copy()
+        del dist
+    # exp(-d^2 / 2 sigma^2) in place over the n(n-1)/2 condensed distances;
+    # squareform zeroes the diagonal
+    np.square(pair, out=pair)
+    pair /= -2.0 * sigma**2
+    aff = squareform(np.exp(pair, out=pair))
+    if knn is not None:
+        keep = np.zeros((n, n), dtype=bool)
         keep[np.arange(n)[:, None], nearest] = True
         # union symmetrization: keep the edge if either endpoint wants it
-        aff = np.where(keep | keep.T, aff, 0.0)
+        keep |= keep.T
+        aff *= keep
     return aff
 
 
@@ -171,10 +241,34 @@ def _n_components(adj) -> int:
     return n_comp
 
 
+def _normalize(aff):
+    """D^{-1/2} A D^{-1/2} of a symmetric affinity matrix A, in place.
+
+    With s = deg^{-1/2}, entry (i, j) is the mean of (a_ij s_i) s_j and
+    (a_ij s_j) s_i: exactly symmetric, and the bits of averaging the scaled
+    matrix with its transpose.  Row blocks of about 32k entries keep the
+    two scaled copies in cache and need no n x n temporary.
+    """
+    n = aff.shape[0]
+    deg = aff.sum(axis=1)
+    s = 1.0 / np.sqrt(np.where(deg > 0.0, deg, 1.0))
+    step = max(1, (1 << 15) // n)
+    for i in range(0, n, step):
+        rows = aff[i:i + step]
+        si = s[i:i + step, None]
+        x = rows * si
+        x *= s
+        y = rows * s
+        y *= si
+        np.add(x, y, out=rows)
+        rows *= 0.5
+
+
 # The most memory `spectral` holds at once is in the kNN path of `_affinity`:
-# three n x n 8-byte arrays (distances, affinities, the masked copy) and two
-# boolean masks, 3.25 n^2 words by tracemalloc at n = 2000.  At this limit
-# each 8-byte array is 512 MiB, about 1.6 GiB together.
+# the condensed distances with the square distance matrix and its n x n
+# argpartition index, 2.5 n^2 8-byte words by tracemalloc at n = 2000 (the
+# dense path peaks at 1.5 n^2 words, while squareform builds the affinities).
+# At this limit each n x n array is 512 MiB, about 1.3 GiB together.
 _MAX_SPECTRAL_POINTS = 8192
 
 
@@ -184,11 +278,13 @@ def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
     Builds exp(-d^2 / 2 sigma^2) affinities (optionally sparsified to a
     symmetrized k-nearest-neighbor graph), takes the k leading eigenvectors
     of D^{-1/2} A D^{-1/2}, normalizes the rows, and k-means them.  Only
-    those k eigenpairs are computed (LAPACK ``syevr`` with an index subset).
+    those k eigenpairs are computed (LAPACK ``syevr`` with an index subset),
+    and LAPACK works in the normalized matrix itself: it is exactly
+    symmetric, so its transpose is the Fortran-order array LAPACK reads.
     Connected components are counted by breadth-first search on the dense
     graph; if there are more than k a warning is issued and clustering
-    proceeds anyway.  More than `_MAX_SPECTRAL_POINTS` points raise
-    ValueError before any n x n array is allocated.
+    proceeds anyway.  More than `_MAX_SPECTRAL_POINTS` points, or a `knn`
+    outside 1..n-1, raise ValueError before any pairwise distance is taken.
     """
     from scipy.linalg import eigh
 
@@ -206,6 +302,10 @@ def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
             f"spectral clustering builds n x n matrices; n={n} exceeds the "
             f"limit of {_MAX_SPECTRAL_POINTS} points"
         )
+    if knn is not None:
+        knn = int(knn)
+        if not 1 <= knn < n:
+            raise ValueError(f"knn must be in 1..{n - 1}")
 
     if affinity_sigma in (None, "auto"):
         sigma = _auto_sigma(pts, rng_seed)
@@ -215,6 +315,7 @@ def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
             raise ValueError("affinity_sigma must be positive")
 
     aff = _affinity(pts, sigma, knn)
+    # counted before scaling, which can underflow an edge to zero
     n_comp = _n_components(aff > 0.0)
     if n_comp > k:
         warnings.warn(
@@ -223,17 +324,13 @@ def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
             stacklevel=2,
         )
 
-    deg = aff.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(np.where(deg > 0.0, deg, 1.0))
-    aff *= inv_sqrt[:, None]
-    aff *= inv_sqrt[None, :]
-    m = np.add(aff, aff.T)
-    m *= 0.5
-    del aff
+    _normalize(aff)
     # eigenvalues ascend, so these columns are the k leading eigenvectors;
     # a column's sign may differ from a full solve, and k-means is exactly
-    # invariant to negating a coordinate
-    _, rows = eigh(m, subset_by_index=[n - k, n - 1], overwrite_a=True)
+    # invariant to negating a coordinate.  The entries are finite: affinities
+    # lie in [0, 1] and the degree scalings are finite and positive.
+    _, rows = eigh(aff.T, subset_by_index=[n - k, n - 1], overwrite_a=True,
+                   check_finite=False)
     norms = np.linalg.norm(rows, axis=1)
     rows = rows / np.where(norms > 0.0, norms, 1.0)[:, None]
     return kmeans(rows, k, rng_seed=rng_seed)

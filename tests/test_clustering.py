@@ -8,8 +8,11 @@ from msdenoise.clustering import (
     LabelSet,
     _affinity,
     _auto_sigma,
-    _kmeans_once,
+    _denoised,
+    _kmeanspp,
+    _lloyd,
     _n_components,
+    _normalize,
     _rng,
     ari,
     hierarchical,
@@ -18,6 +21,7 @@ from msdenoise.clustering import (
     run_dataset_eval,
     spectral,
 )
+from msdenoise.synthetic import _generate_case
 
 
 def two_blobs(n_per=50, gap=10.0, seed=0):
@@ -59,6 +63,76 @@ class TestLabelSet:
         assert not ls.labels.flags.writeable
 
 
+def _sq_dists(x, centers):
+    d2 = np.empty((x.shape[0], centers.shape[0]))
+    for j, c in enumerate(centers):
+        np.square(x - c).sum(axis=1, out=d2[:, j])
+    return d2
+
+
+def _kmeans_once(pts, k, rng):
+    """Oracle: one seeded k-means++ run of Lloyd's algorithm, alone.
+
+    Returns (labels, wcss, history) where history holds the objective value
+    at each assignment step.
+    """
+    n = pts.shape[0]
+    centers = np.empty((k, pts.shape[1]))
+    centers[0] = pts[int(rng.integers(n))]
+    d2 = _sq_dists(pts, centers[:1])[:, 0]
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            centers[j] = pts[rng.choice(n, p=d2 / total)]
+        else:
+            centers[j] = pts[int(rng.integers(n))]
+        d2 = np.minimum(d2, _sq_dists(pts, centers[j:j + 1])[:, 0])
+    return _lloyd_once(pts, centers)
+
+
+def _lloyd_once(pts, centers):
+    n, k = pts.shape[0], centers.shape[0]
+    labels = None
+    history = []
+    for _ in range(clustering._MAX_LLOYD):
+        dist2 = _sq_dists(pts, centers)
+        new_labels = np.argmin(dist2, axis=1)
+        history.append(float(dist2[np.arange(n), new_labels].sum()))
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            members = pts[labels == j]
+            if members.shape[0]:
+                centers[j] = members.mean(axis=0)
+            else:
+                # re-seed an emptied cluster at the point farthest from its
+                # current center
+                far = np.argmax(dist2[np.arange(n), labels])
+                centers[j] = pts[far]
+    wcss = float(((pts - centers[labels]) ** 2).sum())
+    return labels, wcss, history
+
+
+def batched_restarts(pts, k, seed):
+    rngs = [_rng(seed, r) for r in range(clustering._RESTARTS)]
+    return _lloyd(pts, _kmeanspp(pts, k, rngs))
+
+
+def kmeans_cases():
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 3):
+        for k in range(2, 8):
+            yield f"normal_d{d}_k{k}", rng.normal(size=(150, d)) * [1.0, 4.0, 0.5][:d], k
+    yield "k_equals_n", rng.normal(size=(12, 2)), 12
+    # all-duplicate data empties clusters, forcing the re-seed branch
+    yield "duplicates_d1", np.repeat([[0.0], [1.0]], 5, axis=0), 3
+    yield "duplicates_d2", np.repeat([[0.0, 2.0], [1.0, -1.0], [3.0, 3.0]], 4, axis=0), 5
+    # a long one-column cluster, where the pairwise mean differs from a
+    # running sum
+    yield "long_d1", rng.normal(size=(20_000, 1)), 3
+
+
 class TestKMeans:
     def test_two_blobs_perfect(self):
         pts, truth = two_blobs()
@@ -70,21 +144,57 @@ class TestKMeans:
 
     def test_k_equals_n_singletons(self):
         pts = np.random.default_rng(0).normal(size=(12, 2))
-        labels, wcss, _ = _kmeans_once(pts, 12, _rng(0, 0))
-        assert len(set(labels.tolist())) == 12
-        assert wcss == 0.0
+        labels, wcss, _ = batched_restarts(pts, 12, 0)
+        assert all(len(set(row.tolist())) == 12 for row in labels)
+        assert np.all(wcss == 0.0)
+
+    def test_batched_restarts_match_lone_runs(self):
+        for name, pts, k in kmeans_cases():
+            for seed in (0, 5):
+                labels, wcss, histories = batched_restarts(pts, k, seed)
+                for r in range(clustering._RESTARTS):
+                    want = _kmeans_once(pts, k, _rng(seed, r))
+                    assert np.array_equal(labels[r], want[0]), (name, seed, r)
+                    assert wcss[r] == want[1], (name, seed, r)
+                    assert histories[r] == want[2], (name, seed, r)
+
+    def test_reseed_at_farthest_point(self):
+        # a centre far from every point captures none and is re-seeded at the
+        # point farthest from its own centre
+        rng = np.random.default_rng(2)
+        for d in (1, 2):
+            pts = rng.normal(size=(40, d))
+            seeds = np.stack([np.vstack([pts[:2], np.full((1, d), 50.0 + a)])
+                              for a in range(3)])
+            labels, wcss, histories = _lloyd(pts, seeds.copy())
+            for a in range(3):
+                want = _lloyd_once(pts, seeds[a].copy())
+                assert np.array_equal(labels[a], want[0]), (d, a)
+                assert wcss[a] == want[1] and histories[a] == want[2], (d, a)
+                assert len(set(labels[a].tolist())) == 3, (d, a)
+
+    def test_kmeans_picks_first_least_wcss(self, monkeypatch):
+        for name, pts, k in kmeans_cases():
+            runs = [_kmeans_once(pts, k, _rng(2, r)) for r in range(clustering._RESTARTS)]
+            wcss = [w for _, w, _ in runs]
+            want = runs[wcss.index(min(wcss))][0]
+            assert np.array_equal(kmeans(pts, k, rng_seed=2).labels, want), name
+            # a word budget too small for one batch runs restarts in groups
+            n, d = pts.shape
+            monkeypatch.setattr(clustering, "_BATCH_WORDS", 3 * (d + 8) * n)
+            assert np.array_equal(kmeans(pts, k, rng_seed=2).labels, want), name
+            monkeypatch.undo()
 
     def test_objective_never_increases(self):
         pts = np.random.default_rng(1).normal(size=(300, 3))
-        for r in range(5):
-            _, _, history = _kmeans_once(pts, 7, _rng(3, r))
+        _, _, histories = batched_restarts(pts, 7, 3)
+        for history in histories:
             assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
     def test_duplicate_points_terminate(self):
-        # all-duplicate data exercises the empty-cluster re-seeding branch
         pts = np.repeat([[0.0], [1.0]], 5, axis=0)
-        labels, wcss, _ = _kmeans_once(pts, 3, _rng(0, 0))
-        assert wcss == 0.0
+        labels, wcss, _ = batched_restarts(pts, 3, 0)
+        assert np.all(wcss == 0.0)
         assert labels.min() >= 0 and labels.max() < 3
 
     def test_deterministic(self):
@@ -99,8 +209,6 @@ class TestKMeans:
             kmeans(pts, 11)
         with pytest.raises(ValueError):
             kmeans(pts, 0)
-        with pytest.raises(ValueError):
-            kmeans(pts, 2, restarts=0)
 
 
 def concentric_rings(n_ring=120):
@@ -156,6 +264,11 @@ class TestSpectral:
             spectral(pts, 2)
         with pytest.raises(ValueError, match=f"limit of {limit} points"):
             spectral(pts, 2, affinity_sigma=1.0, knn=5)
+        # a bad knn fails before the auto bandwidth or the graph is built
+        pts = np.random.default_rng(0).normal(size=(20, 2))
+        for knn in (0, 20):
+            with pytest.raises(ValueError, match="knn must be in 1..19"):
+                spectral(pts, 2, knn=knn)
 
     def test_disconnected_graph_warns(self):
         rng = np.random.default_rng(0)
@@ -173,6 +286,20 @@ class TestSpectral:
             spectral(pts, 2, affinity_sigma=-1.0)
         with pytest.raises(ValueError):
             spectral(pts, 2, knn=4)
+
+    def test_affinity_matches_dense_formula(self):
+        from scipy.spatial.distance import cdist
+
+        pts, _ = concentric_rings()
+        n = pts.shape[0]
+        dist = cdist(pts, pts)
+        want = np.exp(dist**2 / (-2.0 * 0.7**2))
+        np.fill_diagonal(want, 0.0)
+        assert np.array_equal(_affinity(pts, 0.7), want)
+        np.fill_diagonal(dist, np.inf)
+        keep = np.zeros((n, n), dtype=bool)
+        keep[np.arange(n)[:, None], np.argsort(dist, axis=1)[:, :6]] = True
+        assert np.array_equal(_affinity(pts, 0.7, knn=6), np.where(keep | keep.T, want, 0.0))
 
 
 def three_clusters():
@@ -215,15 +342,18 @@ class TestComponentCount:
         assert counts["random_sparse"] > 5
 
 
+def normalized_reference(aff):
+    deg = aff.sum(axis=1)
+    inv_sqrt = 1.0 / np.sqrt(np.where(deg > 0.0, deg, 1.0))
+    m = aff * inv_sqrt[:, None] * inv_sqrt[None, :]
+    return 0.5 * (m + m.T)
+
+
 def spectral_full_reference(pts, k, affinity_sigma, knn=None, rng_seed=0):
     """`spectral` with the full spectrum from np.linalg.eigh."""
     if affinity_sigma == "auto":
         affinity_sigma = _auto_sigma(pts, rng_seed)
-    aff = _affinity(pts, affinity_sigma, knn)
-    deg = aff.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(np.where(deg > 0.0, deg, 1.0))
-    m = aff * inv_sqrt[:, None] * inv_sqrt[None, :]
-    m = 0.5 * (m + m.T)
+    m = normalized_reference(_affinity(pts, affinity_sigma, knn))
     rows = np.linalg.eigh(m)[1][:, -k:]
     norms = np.linalg.norm(rows, axis=1)
     rows = rows / np.where(norms > 0.0, norms, 1.0)[:, None]
@@ -243,6 +373,12 @@ class TestSpectralSubsetSolver:
         yield "rings_knn", rings, 2, dict(affinity_sigma="auto", knn=10)
         yield "three_blobs", blobs, 3, dict(affinity_sigma=1.0)
         yield "duplicated", np.vstack([small, small]), 2, dict(affinity_sigma=1.0)
+        # the benchmark's scenes: bullseye1 replicates as cluster-eval draws
+        # them, raw and after one SCV sweep, on their dense unit-sigma graph
+        for rep in range(3):
+            pts = _generate_case("bullseye1", _rng(0, rep)).cloud.points
+            yield f"bullseye1_raw_{rep}", pts, 2, dict(affinity_sigma=1.0)
+            yield f"bullseye1_swept_{rep}", _denoised(pts, "scv"), 2, dict(affinity_sigma=1.0)
 
     def test_labels_match_full_spectrum(self):
         for name, pts, k, kw in self.cases():
@@ -250,6 +386,16 @@ class TestSpectralSubsetSolver:
                 want = spectral_full_reference(pts, k, rng_seed=seed, **kw)
                 got = spectral(pts, k, rng_seed=seed, **kw)
                 assert np.array_equal(got.labels, want.labels), (name, seed)
+
+    def test_normalize_matches_transpose_average(self):
+        for name, pts, _, kw in self.cases():
+            sigma = kw["affinity_sigma"]
+            if sigma == "auto":
+                sigma = _auto_sigma(pts, 0)
+            aff = _affinity(pts, sigma, kw.get("knn"))
+            want = normalized_reference(aff)
+            _normalize(aff)
+            assert np.array_equal(aff, want), name
 
 
 class TestHierarchical:
