@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .density import (
     DensityModel,
     PointCloud,
-    StandardizeTransform,
     density_at,
     fit,
     gradient_at,
@@ -47,7 +46,6 @@ __all__ = [
     "__version__",
     "PointCloud",
     "DensityModel",
-    "StandardizeTransform",
     "fit",
     "density_at",
     "gradient_at",

@@ -46,28 +46,6 @@ class AnomalyReport:
     def __len__(self):
         return self.scores.size
 
-    def to_dict(self) -> dict:
-        return {
-            "n_points": int(self.scores.size),
-            "scores": self.scores.tolist(),
-            "ranking": self.ranking.tolist(),
-            "converged": self.converged.tolist(),
-            "n_nonconverged": int((~self.converged).sum()),
-        }
-
-    def traces_to_csv(self, path) -> None:
-        """Write retained paths as rows of (point, step, coordinates)."""
-        if self.traces is None:
-            raise ValueError("report was built without traces")
-        dim = self.traces[0].path.shape[1]
-        cols = ",".join(f"x{j}" for j in range(dim))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"point,step,{cols}\n")
-            for i, trace in enumerate(self.traces):
-                for s, row in enumerate(trace.path):
-                    coords = ",".join("%.17g" % v for v in row)
-                    fh.write(f"{i},{s},{coords}\n")
-
 
 # anomaly_scores keeps one n-vector of step lengths per iteration and, with
 # keep_traces, the n x d positions before the first and after every

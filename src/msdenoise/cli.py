@@ -8,15 +8,17 @@ fails (exit 3) on violations.  The experiments themselves live in the library
 (`clustering`, `twosample`, `anomaly`, `theory_lab`), which owns their
 defaults and argument checks; this module reads CSVs and reference datasets,
 checks the flags that must fail before a bandwidth is selected, and writes
-CSVs and reports.  `theory_lab` is the one module loaded on demand.  Every run
-prints a JSON report that embeds its configuration and the package version;
-reruns with the same inputs and seed are byte-identical.
+every CSV and JSON report, so no library module opens a file.  `theory_lab` is
+the one module loaded on demand.  Every run prints a JSON report that embeds
+its configuration and the package version; reruns with the same inputs and
+seed are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -97,12 +99,12 @@ def _read_csv(path):
     return data, header
 
 
-def _write_csv(path, arr, header=None):
-    arr = np.atleast_2d(arr)
+def _write_csv(path, rows, header=None):
+    """Write rows of numbers, a 2-D array or any iterable, as `%.17g` cells."""
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        for row in arr:
+        for row in rows:
             fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
@@ -137,7 +139,7 @@ def load_dataset(name, path, standardize=True, with_labels=False):
         raise CliError(
             f"{path}: {name} should be {n_exp}x{d_exp} (optionally +1 label "
             f"column), found {arr.shape[0]}x{arr.shape[1]}")
-    cloud = _standardize(arr)[0] if standardize else PointCloud(arr)
+    cloud = _standardize(arr) if standardize else PointCloud(arr)
     return (cloud, labels) if with_labels else cloud
 
 
@@ -154,6 +156,8 @@ def _jsonable(value):
         return _jsonable(value.tolist())
     if isinstance(value, np.generic):
         return value.item()
+    if dataclasses.is_dataclass(value):  # a library result, such as a ScalingReport
+        return _jsonable(vars(value))
     return value
 
 
@@ -292,8 +296,13 @@ def cmd_twosample(args):
         common[grid_arg] = [cast(v) for v in args.grid.split(",")]
     curve = run(**common)
     if args.out_csv:
-        curve.to_csv(args.out_csv)
-    report = _report(args, **curve.to_dict())
+        size = curve.grid.size
+        after = np.full(size, np.nan) if curve.power_after is None else curve.power_after
+        body = np.column_stack([curve.grid, curve.power_before, after, np.full(size, curve.n_reps)])
+        _write_csv(args.out_csv, body, ["grid", "power_before", "power_after", "n_reps"])
+    payload = vars(curve).copy()
+    payload.update(payload.pop("extras"))  # extras sit beside the curve's fields
+    report = _report(args, **payload)
     return report, 0
 
 
@@ -327,7 +336,11 @@ def cmd_anomaly(args):
         payload.update(planted_indices=planted.tolist(), recovered=recovered,
                        n_recovered=len(recovered))
     if args.traces_out:
-        report_obj.traces_to_csv(args.traces_out)
+        # one row per retained position, streamed: point, step, coordinates
+        rows = ((i, s, *x) for i, t in enumerate(report_obj.traces)
+                for s, x in enumerate(t.path))
+        _write_csv(args.traces_out, rows,
+                   ["point", "step"] + [f"x{j}" for j in range(arr.shape[1])])
         payload["traces_out"] = args.traces_out
     report = _report(args, **payload)
     return report, 0

@@ -178,29 +178,28 @@ def kmeans(data, k, rng_seed=0) -> LabelSet:
     return LabelSet(best, k)
 
 
-def _auto_sigma(pts, rng_seed):
-    """Median pairwise distance over a subsample of at most 500 points."""
+def _auto_sigma(pts, pair, rng_seed):
+    """Median of `pair`, the distances of `pts`, or of a 500-point subsample's."""
     from scipy.spatial.distance import pdist
 
     n = pts.shape[0]
     if n > 500:
         idx = _rng(rng_seed, 1).choice(n, 500, replace=False)
-        pts = pts[np.sort(idx)]
-    med = float(np.median(pdist(pts)))
+        pair = pdist(pts[np.sort(idx)])
+    med = float(np.median(pair))
     if med <= 0.0:
         raise ValueError("cannot pick a bandwidth: subsample has zero spread")
     return med
 
 
-def _affinity(pts, sigma, knn=None):
+def _affinity(pair, sigma, knn=None):
     """Gaussian affinity matrix, zero diagonal, optionally kNN-sparsified.
 
-    `knn`, when given, must lie in 1..n-1; `spectral` checks it.
+    `pair` holds the condensed pair distances and is overwritten.  `knn`,
+    when given, must lie in 1..n-1; `spectral` checks it.
     """
-    from scipy.spatial.distance import squareform, pdist
+    from scipy.spatial.distance import squareform
 
-    n = pts.shape[0]
-    pair = pdist(pts)
     if knn is not None:
         dist = squareform(pair)
         np.fill_diagonal(dist, np.inf)
@@ -213,6 +212,7 @@ def _affinity(pts, sigma, knn=None):
     pair /= -2.0 * sigma**2
     aff = squareform(np.exp(pair, out=pair))
     if knn is not None:
+        n = aff.shape[0]
         keep = np.zeros((n, n), dtype=bool)
         keep[np.arange(n)[:, None], nearest] = True
         # union symmetrization: keep the edge if either endpoint wants it
@@ -287,6 +287,7 @@ def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
     outside 1..n-1, raise ValueError before any pairwise distance is taken.
     """
     from scipy.linalg import eigh
+    from scipy.spatial.distance import pdist
 
     pts = _as_cloud(data).points
     n = pts.shape[0]
@@ -307,14 +308,18 @@ def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
         if not 1 <= knn < n:
             raise ValueError(f"knn must be in 1..{n - 1}")
 
-    if affinity_sigma in (None, "auto"):
-        sigma = _auto_sigma(pts, rng_seed)
-    else:
+    auto = affinity_sigma in (None, "auto")
+    if not auto:
         sigma = float(affinity_sigma)
         if not sigma > 0.0:
             raise ValueError("affinity_sigma must be positive")
 
-    aff = _affinity(pts, sigma, knn)
+    # one pass over the pairs serves the automatic scale and the affinities
+    pair = pdist(pts)
+    if auto:
+        sigma = _auto_sigma(pts, pair, rng_seed)
+    aff = _affinity(pair, sigma, knn)
+    del pair  # overwritten by the affinities; freed before the eigensolve
     # counted before scaling, which can underflow an edge to zero
     n_comp = _n_components(aff > 0.0)
     if n_comp > k:

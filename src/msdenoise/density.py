@@ -55,7 +55,6 @@ import numpy as np
 __all__ = [
     "PointCloud",
     "DensityModel",
-    "StandardizeTransform",
     "fit",
     "density_at",
     "gradient_at",
@@ -537,45 +536,14 @@ def select_bandwidth_scv(data) -> float:
     return float(math.exp(0.5 * (a + b)))
 
 
-@dataclass(frozen=True)
-class StandardizeTransform:
-    """Per-coordinate affine map ``x -> (x - mean) / scale`` and its inverse."""
-
-    mean: np.ndarray
-    scale: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.mean, dtype=float).copy()
-        s = np.asarray(self.scale, dtype=float).copy()
-        if m.shape != s.shape or m.ndim != 1:
-            raise ValueError("mean and scale must be matching 1-D arrays")
-        if np.any(s <= 0.0) or not np.all(np.isfinite(s)) or not np.all(np.isfinite(m)):
-            raise ValueError("scale entries must be positive and finite")
-        m.setflags(write=False)
-        s.setflags(write=False)
-        object.__setattr__(self, "mean", m)
-        object.__setattr__(self, "scale", s)
-
-    def apply(self, data) -> PointCloud:
-        cloud = _as_cloud(data)
-        if cloud.dim != self.mean.shape[0]:
-            raise ValueError(f"data dim {cloud.dim} does not match transform dim {self.mean.shape[0]}")
-        return PointCloud((cloud.points - self.mean) / self.scale)
-
-    def invert(self, data) -> PointCloud:
-        cloud = _as_cloud(data)
-        if cloud.dim != self.mean.shape[0]:
-            raise ValueError(f"data dim {cloud.dim} does not match transform dim {self.mean.shape[0]}")
-        return PointCloud(cloud.points * self.scale + self.mean)
-
-
-def standardize(data) -> tuple[PointCloud, StandardizeTransform]:
+def standardize(data) -> PointCloud:
     """Center each coordinate and divide by its sample standard deviation.
 
     Uses the n-1 divisor.  Zero-spread coordinates are rejected rather than
-    silently left unscaled.
+    silently left unscaled, and so is a spread that overflows.
     """
     cloud = _as_cloud(data)
     sd = _sample_sd(cloud.points, "cannot standardize")
-    t = StandardizeTransform(mean=cloud.points.mean(axis=0), scale=sd)
-    return t.apply(cloud), t
+    if not np.all(np.isfinite(sd)):
+        raise ValueError("coordinate spread overflows; cannot standardize")
+    return PointCloud((cloud.points - cloud.points.mean(axis=0)) / sd)

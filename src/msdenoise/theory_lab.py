@@ -129,27 +129,6 @@ class ScalingReport:
     def violations(self) -> list:
         return list(self.extras.get("violations", []))
 
-    def to_dict(self) -> dict:
-        def clean(obj):
-            if isinstance(obj, np.ndarray):
-                return obj.tolist()
-            if isinstance(obj, (np.floating, np.integer)):
-                return obj.item()
-            if isinstance(obj, (list, tuple)):
-                return [clean(o) for o in obj]
-            if isinstance(obj, dict):
-                return {k: clean(v) for k, v in obj.items()}
-            return obj
-
-        return {
-            "name": self.name,
-            "grid": self.grid.tolist(),
-            "values": self.values.tolist(),
-            "slope": self.slope,
-            "slope_halfwidth": self.slope_halfwidth,
-            "extras": clean(self.extras),
-        }
-
 
 def _fit_loglog(grid: np.ndarray, values: np.ndarray) -> tuple[float, float, int]:
     """OLS slope of log values vs log grid over the positive pairs."""
@@ -780,7 +759,7 @@ def run_check(check: str, seed: int) -> dict:
         checks = {"no_violations": not rep.violations,
                   "slope_in_band": 1.7 <= rep.slope <= 2.3,
                   "mc_resolved": bool(rep.extras["mc_ok"])}
-        return {"checks": checks, "report": rep.to_dict()}
+        return {"checks": checks, "report": rep}
     if check == "t2":
         nrm = standard_normal_density()
         mode = mode_density_ratio_curve(nrm, [0.0], [0.1, 0.2, 0.4], 0.05,
@@ -791,19 +770,19 @@ def run_check(check: str, seed: int) -> dict:
         checks = {"mode_slope_in_band": 1.6 <= mode.slope <= 2.4,
                   "valley_ratio_below_one": bool(np.all(valley.values > 0.0)),
                   "no_violations": not (mode.violations or valley.violations)}
-        return {"checks": checks, "mode": mode.to_dict(), "valley": valley.to_dict()}
+        return {"checks": checks, "mode": mode, "valley": valley}
     if check == "t4":
         spec = gmm_level_spec(gmm)
         rep = empirical_population_gap(gmm, spec, [200, 800, 3200], h=0.3,
                                        n_reps=20, rng_seed=seed)
         checks = {"slope_in_band": -0.75 <= rep.slope <= -0.25}
-        return {"checks": checks, "report": rep.to_dict()}
+        return {"checks": checks, "report": rep}
     if check == "t5":
         rep = multi_sweep_mode_growth(gmm, n_data=1000, h=0.25, sweeps=5,
                                       n_mc=200000, rng_seed=seed)
         checks = {"strictly_increasing_and_positive_rate":
                   not rep.extras["violations"]}
-        return {"checks": checks, "report": rep.to_dict()}
+        return {"checks": checks, "report": rep}
     if check == "t6":
         spec = gmm_level_spec(gmm)
         scale_fam = level_scale_family(gmm)
@@ -825,7 +804,6 @@ def run_check(check: str, seed: int) -> dict:
             "step_slope_in_band": 0.7 <= step.slope <= 1.3,
             "sampling_slope_in_band": 0.8 <= samp.slope <= 1.2,
         }
-        return {"checks": checks, "density": dens.to_dict(),
-                "level_scale": scale0.to_dict(), "step": step.to_dict(),
-                "sampling": samp.to_dict()}
+        return {"checks": checks, "density": dens, "level_scale": scale0,
+                "step": step, "sampling": samp}
     raise ValueError(f"unknown check {check!r}")

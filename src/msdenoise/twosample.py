@@ -179,11 +179,14 @@ def permutation_test(stat, x, y, n_perm=999, rng_seed=0, alpha=0.05) -> TestResu
     pooled-matrix evaluation that computes every permuted statistic with two
     matrix products.  All routes draw the same permutations in the same order
     from the seeded generator, so they are interchangeable.
-    p = (1 + #{permuted >= observed}) / (1 + n_perm); reject when p <= alpha.
+    p = (1 + #{permuted >= observed}) / (1 + n_perm); reject when p <= alpha,
+    which must lie in (0, 1).
     """
     xa, ya = _sample_pair(x, y)
     if n_perm < 99:
         raise ValueError("n_perm must be at least 99")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     rng = np.random.default_rng(rng_seed)
     n, m = xa.shape[0], ya.shape[0]
     total = n + m
@@ -231,10 +234,10 @@ def _sorted_permutation_stats(xa, ya, n_perm, rng):
     return stats
 
 
-# The pooled route holds at most 1.75 (n+m)^2 float64 at once (MMD: the
-# condensed pair array beside the square kernel matrix built from it, plus
-# the GEMM operands; tracemalloc at n+m = 2000).  At this limit
-# (n+m = 8192) that is about 900 MiB.
+# The pooled route holds at most 1.5 (n+m)^2 + 2 (n+m) n_perm float64 at once
+# (MMD: the condensed pair array beside the square kernel matrix, then the
+# permutation indicator and its product with the matrix; tracemalloc at
+# n+m = 2000).  Each term is kept under this limit: about 1.25 GiB in all.
 _MAX_POOLED_FLOATS = 1 << 26
 
 
@@ -243,9 +246,9 @@ def _pooled_permutation_stats(which, xa, ya, n_perm, rng):
 
     For an indicator u of the X side, the three pair-sums over a symmetric
     matrix M are u'Mu, u'M(1-u) and (1-u)'M(1-u); each permutation then costs
-    one matrix-vector product, batched into a single GEMM.  A pooled matrix
-    of more than `_MAX_POOLED_FLOATS` entries raises ValueError before it is
-    allocated.
+    one matrix-vector product, batched into a single GEMM.  A pooled matrix,
+    or a GEMM operand pair, of more than `_MAX_POOLED_FLOATS` entries raises
+    ValueError before any distance is taken.
     """
     from scipy.spatial.distance import cdist, pdist, squareform
 
@@ -255,6 +258,12 @@ def _pooled_permutation_stats(which, xa, ya, n_perm, rng):
         raise ValueError(
             f"the pooled permutation statistics build an (n+m) x (n+m) matrix; "
             f"n+m={total} exceeds the limit of {_MAX_POOLED_FLOATS} entries"
+        )
+    if 2 * total * n_perm > _MAX_POOLED_FLOATS:
+        raise ValueError(
+            f"the pooled permutation statistics hold two (n+m) x n_perm arrays; "
+            f"n+m={total} with n_perm={n_perm} exceeds the limit of "
+            f"{_MAX_POOLED_FLOATS} entries"
         )
     pooled = np.vstack([xa, ya])
     if which == "energy":
@@ -335,28 +344,6 @@ class PowerCurve:
         if int(self.n_reps) < 1:
             raise ValueError("n_reps must be positive")
         object.__setattr__(self, "n_reps", int(self.n_reps))
-
-    def to_dict(self) -> dict:
-        after = None if self.power_after is None else self.power_after.tolist()
-        out = {
-            "grid": self.grid.tolist(),
-            "power_before": self.power_before.tolist(),
-            "power_after": after,
-            "n_reps": self.n_reps,
-            "test": self.test,
-            "alpha": self.alpha,
-        }
-        out.update(self.extras)
-        return out
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("grid,power_before,power_after,n_reps\n")
-            for i, g in enumerate(self.grid):
-                after = "nan" if self.power_after is None else (
-                    "%.17g" % self.power_after[i])
-                fh.write("%.17g,%.17g,%s,%d\n"
-                         % (g, self.power_before[i], after, self.n_reps))
 
 
 def _run_power_grid(make_samples, grid, n_reps, alpha, msd, rng_seed, test, n_perm):

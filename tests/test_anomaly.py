@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -115,27 +114,13 @@ def test_nonconvergent_points_flagged_and_scored():
     assert np.all(report.scores >= 0.0)
 
 
-def test_report_validation_and_serialization(tmp_path):
+def test_report_validation():
     with pytest.raises(ValueError):
         AnomalyReport(np.array([-1.0, 2.0]), np.array([1, 0]), np.ones(2, dtype=bool))
     with pytest.raises(ValueError):
         AnomalyReport(np.array([1.0, 2.0]), np.array([0, 0]), np.ones(2, dtype=bool))
     with pytest.raises(ValueError):
         AnomalyReport(np.array([1.0, 2.0]), np.array([1, 0]), np.ones(3, dtype=bool))
-
-    rng = np.random.default_rng(5)
-    data = rng.normal(size=(12, 2))
-    report = anomaly_scores(data, fit(data, 0.5), keep_traces=True)
-    blob = json.dumps(report.to_dict())
-    assert "ranking" in blob
-    path = tmp_path / "traces.csv"
-    report.traces_to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "point,step,x0,x1"
-    assert len(lines) == 1 + sum(t.path.shape[0] for t in report.traces)
-    bare = anomaly_scores(data, fit(data, 0.5))
-    with pytest.raises(ValueError):
-        bare.traces_to_csv(path)
 
 
 def test_dimension_mismatch_and_bad_args():

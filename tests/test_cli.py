@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import msdenoise.cli
+from msdenoise import anomaly_scores, fit
 from msdenoise.cli import CliError, _read_csv, load_dataset, main
 
 
@@ -249,6 +250,44 @@ def test_twosample_no_msd_reports_null_after(tmp_path):
     assert rep["power_after"] is None
 
 
+def test_twosample_no_msd_csv_text(tmp_path):
+    csv_out = tmp_path / "curve.csv"
+    code, rep = run_cli(tmp_path, ["twosample", "--scenario", "noise",
+                                   "--grid", "0,40", "--n0", "60", "--reps", "2",
+                                   "--n-perm", "99", "--no-msd",
+                                   "--out-csv", str(csv_out)])
+    assert code == 0
+    # no after column: nan cells; n_reps an integer cell
+    assert csv_out.read_text() == (
+        "grid,power_before,power_after,n_reps\n"
+        + "".join("%d,%.17g,nan,2\n" % (g, p)
+                  for g, p in zip(rep["grid"], rep["power_before"])))
+
+
+def test_twosample_report_merges_extras_and_csv_text(tmp_path):
+    csv_out = tmp_path / "curve.csv"
+    code, rep = run_cli(tmp_path, ["twosample", "--scenario", "noise",
+                                   "--grid", "0", "--n0", "60", "--reps", "1",
+                                   "--n-perm", "99", "--out-csv", str(csv_out)])
+    assert code == 0
+    assert set(rep) - {"command", "version", "config"} == {
+        "grid", "power_before", "power_after", "n_reps", "test", "alpha",
+        "h0_after_rate", "h0_inflated"}
+    assert rep["h0_after_rate"] == rep["power_after"][0]
+    assert csv_out.read_text() == (
+        "grid,power_before,power_after,n_reps\n"
+        "0,%.17g,%.17g,1\n" % (rep["power_before"][0], rep["power_after"][0]))
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "nan", "0", "1"])
+def test_twosample_alpha_outside_unit_interval(capsys, alpha):
+    code = main(["twosample", "--scenario", "noise", "--grid", "0", "--n0", "50",
+                 "--reps", "1", "--n-perm", "99", "--alpha", alpha])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and "alpha must lie in (0, 1)" in err
+
+
 def test_twosample_usage_errors(tmp_path):
     assert main(["twosample", "--scenario", "noise", "--reps", "0"]) == 2
     assert main(["twosample", "--scenario", "noise", "--grid", "0,10",
@@ -280,6 +319,24 @@ def test_anomaly_from_csv(tmp_path):
     assert code == 0
     assert len(rep["top_k"]) == 3
     assert rep["rows"] == 80
+
+
+def test_anomaly_traces_csv_text(tmp_path):
+    src, traces = tmp_path / "pts.csv", tmp_path / "traces.csv"
+    main(["gen", "--case", "bullseye", "--n0", "40", "--out", str(src),
+          "--no-labels"])
+    code, _ = run_cli(tmp_path, ["anomaly", "--input", str(src), "--h", "0.5",
+                                 "--traces-out", str(traces)])
+    assert code == 0
+    arr, _ = _read_csv(str(src))
+    paths = [t.path for t in anomaly_scores(arr, fit(arr, 0.5), keep_traces=True).traces]
+    lines = traces.read_text().splitlines()
+    assert lines[0] == "point,step,x0,x1"
+    # a path starts at its point
+    assert lines[1] == "0,0," + ",".join("%.17g" % v for v in arr[0])
+    assert len(lines) == 1 + sum(len(p) for p in paths)
+    last = len(paths) - 1, len(paths[-1]) - 1
+    assert lines[-1] == "%d,%d," % last + ",".join("%.17g" % v for v in paths[-1][-1])
 
 
 def test_anomaly_k_too_large(tmp_path):
@@ -337,6 +394,22 @@ def test_theory_failure_exits_three(tmp_path, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # process-level behavior
+
+
+def test_theory_report_lists_scaling_report_arrays(tmp_path, monkeypatch):
+    import msdenoise.theory_lab as lab
+
+    rep = lab.ScalingReport("x", [1.0, 2.0], [3.0, 4.0], np.float64(0.5), 0.1,
+                            {"arr": np.arange(3), "pairs": (np.float64(1.5), [np.int64(2)])})
+    monkeypatch.setattr(lab, "run_check",
+                        lambda check, seed: {"checks": {"ok": True}, "report": rep})
+    code, out = run_cli(tmp_path, ["theory", "--check", "t1"])
+    assert code == 0
+    text = (tmp_path / "report.json").read_text()
+    assert '"arr": [\n        0,\n        1,\n        2\n      ]' in text
+    assert out["report"] == {
+        "name": "x", "grid": [1.0, 2.0], "values": [3.0, 4.0], "slope": 0.5,
+        "slope_halfwidth": 0.1, "extras": {"arr": [0, 1, 2], "pairs": [1.5, [2]]}}
 
 
 def test_unknown_subcommand_is_a_usage_error():

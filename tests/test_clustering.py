@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from msdenoise import clustering
 from msdenoise.clustering import (
@@ -22,6 +23,11 @@ from msdenoise.clustering import (
     spectral,
 )
 from msdenoise.synthetic import _generate_case
+
+
+def affinity(pts, sigma, knn=None):
+    """`_affinity` over the pair distances of `pts`, as `spectral` calls it."""
+    return _affinity(pdist(pts), sigma, knn)
 
 
 def two_blobs(n_per=50, gap=10.0, seed=0):
@@ -244,8 +250,8 @@ class TestSpectral:
 
     def test_duplication_affinity_block_structure(self):
         small = np.random.default_rng(4).normal(size=(10, 2))
-        a = _affinity(small, 1.0)
-        doubled = _affinity(np.vstack([small, small]), 1.0)
+        a = affinity(small, 1.0)
+        doubled = affinity(np.vstack([small, small]), 1.0)
         # copies sit at distance zero: affinity 1 off the true diagonal
         expect = np.block([[a, a + np.eye(10)], [a + np.eye(10), a]])
         assert np.array_equal(doubled, expect)
@@ -269,6 +275,27 @@ class TestSpectral:
         for knn in (0, 20):
             with pytest.raises(ValueError, match="knn must be in 1..19"):
                 spectral(pts, 2, knn=knn)
+
+    def test_auto_sigma_shares_the_pair_distances(self, monkeypatch):
+        import scipy.spatial.distance
+
+        shapes = []
+        real = scipy.spatial.distance.pdist
+
+        def spy(x, *args, **kwargs):
+            shapes.append(x.shape)
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial.distance, "pdist", spy)
+        pts, _ = two_blobs(n_per=30)
+        for knn in (None, 10):
+            shapes.clear()
+            spectral(pts, 2, knn=knn)
+            assert shapes == [(60, 2)]
+        # above 500 points the scale comes from a 500-point subsample
+        shapes.clear()
+        spectral(two_blobs(n_per=260)[0], 2)
+        assert shapes == [(520, 2), (500, 2)]
 
     def test_disconnected_graph_warns(self):
         rng = np.random.default_rng(0)
@@ -295,11 +322,11 @@ class TestSpectral:
         dist = cdist(pts, pts)
         want = np.exp(dist**2 / (-2.0 * 0.7**2))
         np.fill_diagonal(want, 0.0)
-        assert np.array_equal(_affinity(pts, 0.7), want)
+        assert np.array_equal(affinity(pts, 0.7), want)
         np.fill_diagonal(dist, np.inf)
         keep = np.zeros((n, n), dtype=bool)
         keep[np.arange(n)[:, None], np.argsort(dist, axis=1)[:, :6]] = True
-        assert np.array_equal(_affinity(pts, 0.7, knn=6), np.where(keep | keep.T, want, 0.0))
+        assert np.array_equal(affinity(pts, 0.7, knn=6), np.where(keep | keep.T, want, 0.0))
 
 
 def three_clusters():
@@ -324,9 +351,9 @@ class TestComponentCount:
         rng = np.random.default_rng(8)
         sparse = rng.random((200, 200)) < 0.004
         yield "complete", complete
-        yield "rings_knn", _affinity(rings, 1.0, knn=10) > 0.0
+        yield "rings_knn", affinity(rings, 1.0, knn=10) > 0.0
         yield "isolated", isolated | isolated.T
-        yield "three_clusters", _affinity(three_clusters(), 0.05) > 0.0
+        yield "three_clusters", affinity(three_clusters(), 0.05) > 0.0
         yield "random_sparse", sparse | sparse.T
 
     def test_matches_scipy(self):
@@ -352,8 +379,8 @@ def normalized_reference(aff):
 def spectral_full_reference(pts, k, affinity_sigma, knn=None, rng_seed=0):
     """`spectral` with the full spectrum from np.linalg.eigh."""
     if affinity_sigma == "auto":
-        affinity_sigma = _auto_sigma(pts, rng_seed)
-    m = normalized_reference(_affinity(pts, affinity_sigma, knn))
+        affinity_sigma = _auto_sigma(pts, pdist(pts), rng_seed)
+    m = normalized_reference(affinity(pts, affinity_sigma, knn))
     rows = np.linalg.eigh(m)[1][:, -k:]
     norms = np.linalg.norm(rows, axis=1)
     rows = rows / np.where(norms > 0.0, norms, 1.0)[:, None]
@@ -391,8 +418,8 @@ class TestSpectralSubsetSolver:
         for name, pts, _, kw in self.cases():
             sigma = kw["affinity_sigma"]
             if sigma == "auto":
-                sigma = _auto_sigma(pts, 0)
-            aff = _affinity(pts, sigma, kw.get("knn"))
+                sigma = _auto_sigma(pts, pdist(pts), 0)
+            aff = affinity(pts, sigma, kw.get("knn"))
             want = normalized_reference(aff)
             _normalize(aff)
             assert np.array_equal(aff, want), name

@@ -1,6 +1,5 @@
 """Lab checks: oracles for the MC machinery plus desk-scale property runs."""
 
-import json
 import math
 import os
 import subprocess
@@ -328,8 +327,8 @@ def test_scaling_report_invariants():
         lab.ScalingReport("x", [1.0, 1.0], [1.0, 2.0], 0.5, 0.1)
     with pytest.raises(ValueError):
         lab.ScalingReport("x", [1.0, 2.0], [1.0, 2.0], math.nan, 0.1)
-    rep = lab.ScalingReport("x", [1.0, 2.0], [3.0, 4.0], 0.5, 0.1, {"arr": np.arange(3)})
-    json.dumps(rep.to_dict())  # must be serializable as-is
+    rep = lab.ScalingReport("x", [1.0, 2.0], [3.0, 4.0], 0.5, 0.1)
+    assert not rep.grid.flags.writeable and not rep.values.flags.writeable
 
 
 def test_reference_densities_are_normalized():

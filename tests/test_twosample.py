@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -227,6 +226,16 @@ class TestPermutationTest:
         with pytest.raises(ValueError):
             permutation_test("median", x, y, n_perm=99)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(20, 1)), rng.normal(size=(20, 1))
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="alpha must lie in \\(0, 1\\)"):
+            permutation_test("energy", x, y, n_perm=99, rng_seed=rng, alpha=alpha)
+        # refused before any permutation is drawn
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize("stat", ["energy", "mmd"])
     def test_size_limit_fails_before_allocating(self, monkeypatch, stat):
         import scipy.spatial.distance
@@ -243,6 +252,12 @@ class TestPermutationTest:
         y = np.ones((total - total // 2, d))
         with pytest.raises(ValueError, match=f"n\\+m={total} exceeds the limit of {limit} entries"):
             permutation_test(stat, x, y, n_perm=99)
+        # the indicator and its product with the matrix hold 2 (n+m) n_perm
+        # floats: refused before any distance, however small the matrix
+        x, y = x[:100], y[:100]
+        n_perm = limit // (2 * 200) + 1
+        with pytest.raises(ValueError, match=f"n\\+m=200 with n_perm={n_perm} exceeds the limit"):
+            permutation_test(stat, x, y, n_perm=n_perm)
 
     def test_1d_energy_above_pooled_limit_needs_no_distances(self, monkeypatch):
         import scipy.spatial.distance
@@ -288,25 +303,6 @@ class TestPowerCurve:
             PowerCurve([0.0], [0.1], [0.1, 0.2], 10, "energy", 0.05)
         with pytest.raises(ValueError):
             PowerCurve([0.0], [0.1], None, 0, "energy", 0.05)
-
-    def test_serialization(self, tmp_path):
-        pc = PowerCurve([0.0, 100.0], [0.05, 0.6], [0.04, 0.7], 50, "energy", 0.05,
-                        {"h0_after_rate": 0.04, "h0_inflated": False})
-        json.dumps(pc.to_dict())
-        path = tmp_path / "curve.csv"
-        pc.to_csv(path)
-        body = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert np.array_equal(body[:, 0], pc.grid)
-        assert np.array_equal(body[:, 1], pc.power_before)
-        assert np.array_equal(body[:, 2], pc.power_after)
-        assert np.array_equal(body[:, 3], [50, 50])
-
-    def test_csv_with_missing_after_column(self, tmp_path):
-        pc = PowerCurve([1.0], [0.5], None, 5, "mmd", 0.05)
-        path = tmp_path / "c.csv"
-        pc.to_csv(path)
-        body = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert math.isnan(body[2])
 
 
 class TestPowerExperiments:
