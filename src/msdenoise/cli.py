@@ -284,6 +284,16 @@ def cmd_cluster_eval(args):
     return report, 0
 
 
+POWER_CURVE_HEADER = ["grid", "power_before", "power_after", "n_reps"]
+
+
+def _power_curve_rows(curve):
+    """One row per grid point; a curve without an after column gets nan cells."""
+    size = curve.grid.size
+    after = np.full(size, np.nan) if curve.power_after is None else curve.power_after
+    return np.column_stack([curve.grid, curve.power_before, after, np.full(size, curve.n_reps)])
+
+
 def cmd_twosample(args):
     common = dict(n0=args.n0, n_reps=args.reps, alpha=args.alpha, msd=args.msd,
                   rng_seed=args.seed, test=args.test, n_perm=args.n_perm)
@@ -296,10 +306,7 @@ def cmd_twosample(args):
         common[grid_arg] = [cast(v) for v in args.grid.split(",")]
     curve = run(**common)
     if args.out_csv:
-        size = curve.grid.size
-        after = np.full(size, np.nan) if curve.power_after is None else curve.power_after
-        body = np.column_stack([curve.grid, curve.power_before, after, np.full(size, curve.n_reps)])
-        _write_csv(args.out_csv, body, ["grid", "power_before", "power_after", "n_reps"])
+        _write_csv(args.out_csv, _power_curve_rows(curve), POWER_CURVE_HEADER)
     payload = vars(curve).copy()
     payload.update(payload.pop("extras"))  # extras sit beside the curve's fields
     report = _report(args, **payload)

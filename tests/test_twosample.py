@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from msdenoise import twosample
+from msdenoise import cli, twosample
 from msdenoise.twosample import (
     PowerCurve,
     TestResult,
@@ -303,6 +304,27 @@ class TestPowerCurve:
             PowerCurve([0.0], [0.1], [0.1, 0.2], 10, "energy", 0.05)
         with pytest.raises(ValueError):
             PowerCurve([0.0], [0.1], None, 0, "energy", 0.05)
+
+    # a curve is serialized by the CLI: JSON through its one conversion, CSV
+    # through its one writer
+    def test_serialization(self, tmp_path):
+        pc = PowerCurve([0.0, 100.0], [0.05, 0.6], [0.04, 0.7], 50, "energy", 0.05,
+                        {"h0_after_rate": 0.04, "h0_inflated": False})
+        json.dumps(cli._jsonable(pc))
+        path = tmp_path / "curve.csv"
+        cli._write_csv(path, cli._power_curve_rows(pc), cli.POWER_CURVE_HEADER)
+        body = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(body[:, 0], pc.grid)
+        assert np.array_equal(body[:, 1], pc.power_before)
+        assert np.array_equal(body[:, 2], pc.power_after)
+        assert np.array_equal(body[:, 3], [50, 50])
+
+    def test_csv_with_missing_after_column(self, tmp_path):
+        pc = PowerCurve([1.0], [0.5], None, 5, "mmd", 0.05)
+        path = tmp_path / "c.csv"
+        cli._write_csv(path, cli._power_curve_rows(pc), cli.POWER_CURVE_HEADER)
+        body = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert math.isnan(body[2])
 
 
 class TestPowerExperiments:
