@@ -353,13 +353,20 @@ def gradient_at(model: DensityModel, x):
 
 
 def _sample_sd(points: np.ndarray, undefined: str) -> np.ndarray:
-    """Per-coordinate sample sd (n-1 divisor); a zero sd raises, naming `undefined`."""
+    """Per-coordinate sample sd (n-1 divisor).
+
+    A zero sd, or one that overflows, raises ValueError naming `undefined`.
+    """
     if points.shape[0] < 2:
         raise ValueError("need at least 2 points to estimate spread")
-    sd = points.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = points.std(axis=0, ddof=1)
     if np.any(sd == 0.0):
         bad = int(np.flatnonzero(sd == 0.0)[0])
         raise ValueError(f"coordinate {bad} has zero spread; {undefined}")
+    if not np.all(np.isfinite(sd)):
+        bad = int(np.flatnonzero(~np.isfinite(sd))[0])
+        raise ValueError(f"coordinate {bad} of the data has a spread that overflows; {undefined}")
     return sd
 
 
@@ -544,6 +551,4 @@ def standardize(data) -> PointCloud:
     """
     cloud = _as_cloud(data)
     sd = _sample_sd(cloud.points, "cannot standardize")
-    if not np.all(np.isfinite(sd)):
-        raise ValueError("coordinate spread overflows; cannot standardize")
     return PointCloud((cloud.points - cloud.points.mean(axis=0)) / sd)

@@ -23,7 +23,6 @@ __all__ = [
     "gen_gmm_1d",
     "gen_gmm_2d",
     "plant_outliers",
-    "with_noise",
     "default_anomaly_scenario",
     "ANOMALY_BLOB_MEANS",
     "ANOMALY_BLOB_SD",
@@ -213,11 +212,6 @@ def plant_outliers(labeled: LabeledCloud, outliers) -> LabeledCloud:
     return LabeledCloud(PointCloud(pts), labels)
 
 
-def with_noise(labeled: LabeledCloud, noise: PointCloud) -> LabeledCloud:
-    """Append background noise points under a fresh dedicated label."""
-    return plant_outliers(labeled, noise.points)
-
-
 # Default anomaly scenario: three well-separated blobs of 200 points each
 # plus five planted outliers sitting in documented low-density locations
 # between and around the blobs.  The outliers are fixtures, chosen so their
@@ -233,10 +227,10 @@ ANOMALY_OUTLIERS = (
 )
 
 
-def default_anomaly_scenario(rng_seed: int = 0, outliers=ANOMALY_OUTLIERS) -> LabeledCloud:
-    """Three gaussian blobs (labels 0-2) plus planted outliers (label 3)."""
+def default_anomaly_scenario(rng_seed: int = 0) -> LabeledCloud:
+    """Three gaussian blobs (labels 0-2) plus the planted outliers (label 3)."""
     blobs = gen_gmm_2d(ANOMALY_BLOB_MEANS, [ANOMALY_BLOB_SD] * 3, [200] * 3, rng_seed)
-    return plant_outliers(blobs, outliers)
+    return plant_outliers(blobs, ANOMALY_OUTLIERS)
 
 
 # Named clustering cases: (structure family, structure size n0, uniform
@@ -259,4 +253,4 @@ def _generate_case(case, rng) -> LabeledCloud:
     else:
         structure = gen_spiral(n0, rng_seed=rng)
     noise = gen_uniform_noise(n1, [-half, -half], [half, half], rng_seed=rng)
-    return with_noise(structure, noise)
+    return plant_outliers(structure, noise.points)

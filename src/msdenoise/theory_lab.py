@@ -35,7 +35,7 @@ from .shift import (
     empirical_step_weighted_mean,
     shift_until_converged,
 )
-from .synthetic import _rng
+from .synthetic import _rng, gen_gmm_1d
 
 __all__ = [
     "LevelSetSpec",
@@ -275,9 +275,7 @@ def gmm_density(mix: float = 0.7, mu1: float = 0.0, mu2: float = 5.0,
         return dpdf_scalar(np.atleast_2d(q)[:, 0])[:, None]
 
     def sampler(rng, n):
-        pick1 = rng.random(n) < mix
-        z = rng.standard_normal(n)
-        return np.where(pick1, mu1 + s1 * z, mu2 + s2 * z)[:, None]
+        return gen_gmm_1d(n, mix, mu1, mu2, s1, s2, rng_seed=rng).points
 
     return AnalyticDensity(density=dens, gradient=grad, dim=1,
                            modes=modes[:, None], minima=minima[:, None],
@@ -536,12 +534,12 @@ def _sup_norms(density: AnalyticDensity, lo: float, hi: float) -> tuple[float, f
     return float(f.max()), float(g.max())
 
 
-def level_scale_family(base: AnalyticDensity, lo: float = -10.0, hi: float = 10.0) -> PerturbationFamily:
+def level_scale_family(base: AnalyticDensity) -> PerturbationFamily:
     """f_delta = (1 + delta) f.  The shift map is exactly invariant under this
     scaling (the gradient-to-density ratio cancels the factor), so the
     measured response is identically zero; the family exists to pin that
-    down."""
-    f_sup, g_sup = _sup_norms(base, lo, hi)
+    down.  The sup norms behind delta1 are taken on [-10, 10]."""
+    f_sup, g_sup = _sup_norms(base, -10.0, 10.0)
 
     def perturbed(delta: float) -> AnalyticDensity:
         scale = 1.0 + delta

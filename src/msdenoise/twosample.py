@@ -12,8 +12,9 @@ Rizzo 2013): the sum of |a - b| over the ordered pairs of a set is
 2 sum_k z_(k) (2k - 1 - size) over its members in sorted order.  So the 1-D
 energy statistic and its permutation test build no pairwise matrix and hold
 O(N) numbers per permutation, in blocks of `_PERM_BLOCK` permutations.
-Energy for d >= 2 and MMD evaluate every permuted statistic from one pooled
-N x N matrix.
+Energy for d >= 2 and MMD, direct and permuted alike, come from one pooled
+N x N matrix and its size limit, `_MAX_POOLED_FLOATS`: a direct statistic is
+the observed value of the permutation route.
 """
 
 from __future__ import annotations
@@ -47,16 +48,10 @@ def energy_statistic(x, y) -> float:
     Samples in one dimension are scored in sorted order, without distances.
     """
     xa, ya = _sample_pair(x, y)
-    n, m = xa.shape[0], ya.shape[0]
     if xa.shape[1] == 1:
         z, rank = _sorted_pool(xa, ya)
-        return float(_sorted_energy(z, rank[np.newaxis], n)[0])
-    from scipy.spatial.distance import cdist
-
-    cross = cdist(xa, ya).mean()
-    within_x = cdist(xa, xa).mean()
-    within_y = cdist(ya, ya).mean()
-    return float(n * m / (n + m) * (2.0 * cross - within_x - within_y))
+        return float(_sorted_energy(z, rank[np.newaxis], xa.shape[0])[0])
+    return _pooled_statistic("energy", xa, ya)[0]
 
 
 def _sorted_pool(xa, ya):
@@ -97,12 +92,6 @@ def _sorted_energy(z, ranks, n):
     return n * m / total * (2.0 * s_xy / (n * m) - s_xx / n**2 - s_yy / m**2)
 
 
-def _median_pairwise(pooled) -> float:
-    from scipy.spatial.distance import pdist
-
-    return _median_distance(pdist(pooled, "sqeuclidean"))
-
-
 def _median_distance(sq_dists) -> float:
     """Median of the distances whose squares are `sq_dists`.
 
@@ -127,20 +116,57 @@ def mmd2_biased(x, y, kernel_sigma="auto") -> float:
     kernel k(a, b) = exp(-||a-b||^2 / (2 sigma^2)); sigma defaults to the
     median pairwise distance of the pooled sample.
     """
-    from scipy.spatial.distance import cdist
-
     xa, ya = _sample_pair(x, y)
-    if kernel_sigma in (None, "auto"):
-        sigma = _median_pairwise(np.vstack([xa, ya]))
-    else:
+    sigma = None
+    if kernel_sigma not in (None, "auto"):
         sigma = float(kernel_sigma)
         if not sigma > 0.0:
             raise ValueError("kernel_sigma must be positive")
-    scale = -0.5 / sigma**2
-    kxy = np.exp(scale * cdist(xa, ya, "sqeuclidean")).mean()
-    kxx = np.exp(scale * cdist(xa, xa, "sqeuclidean")).mean()
-    kyy = np.exp(scale * cdist(ya, ya, "sqeuclidean")).mean()
-    return float(kxx + kyy - 2.0 * kxy)
+    return _pooled_statistic("mmd", xa, ya, sigma)[0]
+
+
+# The pooled route holds at most 1.5 (n+m)^2 + 2 (n+m) n_perm float64 at once
+# (the condensed pair array beside the square matrix, then the permutation
+# indicator and its product with the matrix; tracemalloc at n+m = 2000).  Each
+# term is kept under this limit: about 1.25 GiB in all.
+_MAX_POOLED_FLOATS = 1 << 26
+
+
+def _pooled_statistic(which, xa, ya, sigma=None):
+    """The statistic `which` of X against Y, and the pooled pair matrix.
+
+    Energy takes the distance matrix of the pooled sample, MMD the gaussian
+    kernel matrix at scale `sigma` (None: the median pair distance), both
+    from one `pdist`.  Each block mean is taken over a contiguous copy, so it
+    sums in the order of a per-sample matrix rather than a strided view.  A
+    matrix of more than `_MAX_POOLED_FLOATS` entries raises ValueError before
+    any distance is taken.
+    """
+    n, m = xa.shape[0], ya.shape[0]
+    total = n + m
+    if total * total > _MAX_POOLED_FLOATS:
+        raise ValueError(
+            f"the pooled statistics build an (n+m) x (n+m) matrix; "
+            f"n+m={total} exceeds the limit of {_MAX_POOLED_FLOATS} entries"
+        )
+    from scipy.spatial.distance import pdist, squareform
+
+    pooled = np.vstack([xa, ya])
+    if which == "energy":
+        matrix = squareform(pdist(pooled))
+    else:
+        sq_dists = pdist(pooled, "sqeuclidean")
+        if sigma is None:
+            sigma = _median_distance(sq_dists)
+        sq_dists *= -0.5 / sigma**2
+        matrix = squareform(np.exp(sq_dists, out=sq_dists))
+        np.fill_diagonal(matrix, 1.0)
+    cross = np.ascontiguousarray(matrix[:n, n:]).mean()
+    within_x = np.ascontiguousarray(matrix[:n, :n]).mean()
+    within_y = np.ascontiguousarray(matrix[n:, n:]).mean()
+    if which == "energy":
+        return float(n * m / total * (2.0 * cross - within_x - within_y)), matrix
+    return float(within_x + within_y - 2.0 * cross), matrix
 
 
 @dataclass(frozen=True)
@@ -234,58 +260,24 @@ def _sorted_permutation_stats(xa, ya, n_perm, rng):
     return stats
 
 
-# The pooled route holds at most 1.5 (n+m)^2 + 2 (n+m) n_perm float64 at once
-# (MMD: the condensed pair array beside the square kernel matrix, then the
-# permutation indicator and its product with the matrix; tracemalloc at
-# n+m = 2000).  Each term is kept under this limit: about 1.25 GiB in all.
-_MAX_POOLED_FLOATS = 1 << 26
-
-
 def _pooled_permutation_stats(which, xa, ya, n_perm, rng):
     """Observed statistic plus all permuted values via pooled quadratic forms.
 
-    For an indicator u of the X side, the three pair-sums over a symmetric
-    matrix M are u'Mu, u'M(1-u) and (1-u)'M(1-u); each permutation then costs
-    one matrix-vector product, batched into a single GEMM.  A pooled matrix,
-    or a GEMM operand pair, of more than `_MAX_POOLED_FLOATS` entries raises
-    ValueError before any distance is taken.
+    For an indicator u of the X side, the three pair-sums over the symmetric
+    pooled matrix M are u'Mu, u'M(1-u) and (1-u)'M(1-u); each permutation then
+    costs one matrix-vector product, batched into a single GEMM.  A GEMM
+    operand pair of more than `_MAX_POOLED_FLOATS` entries raises ValueError
+    before any distance is taken.
     """
-    from scipy.spatial.distance import cdist, pdist, squareform
-
     n, m = xa.shape[0], ya.shape[0]
     total = n + m
-    if total * total > _MAX_POOLED_FLOATS:
-        raise ValueError(
-            f"the pooled permutation statistics build an (n+m) x (n+m) matrix; "
-            f"n+m={total} exceeds the limit of {_MAX_POOLED_FLOATS} entries"
-        )
     if 2 * total * n_perm > _MAX_POOLED_FLOATS:
         raise ValueError(
             f"the pooled permutation statistics hold two (n+m) x n_perm arrays; "
             f"n+m={total} with n_perm={n_perm} exceeds the limit of "
             f"{_MAX_POOLED_FLOATS} entries"
         )
-    pooled = np.vstack([xa, ya])
-    if which == "energy":
-        matrix = cdist(pooled, pooled)
-    else:
-        # one pass over the pairs serves the median and the kernel matrix
-        sq_dists = pdist(pooled, "sqeuclidean")
-        sigma = _median_distance(sq_dists)
-        sq_dists *= -0.5 / sigma**2
-        matrix = squareform(np.exp(sq_dists, out=sq_dists))
-        np.fill_diagonal(matrix, 1.0)
-    # contiguous copies of the blocks hold the entries of the per-sample
-    # matrices that energy_statistic and mmd2_biased build, in the same
-    # layout, so their means (and the observed statistic) are the same bits
-    cross = np.ascontiguousarray(matrix[:n, n:]).mean()
-    within_x = np.ascontiguousarray(matrix[:n, :n]).mean()
-    within_y = np.ascontiguousarray(matrix[n:, n:]).mean()
-    if which == "energy":
-        observed = float(n * m / total * (2.0 * cross - within_x - within_y))
-    else:
-        observed = float(within_x + within_y - 2.0 * cross)
-
+    observed, matrix = _pooled_statistic(which, xa, ya)
     row_tot = matrix.sum(axis=1)
     grand = float(row_tot.sum())
     u = _indicator_matrix(total, n, n_perm, rng)
@@ -346,7 +338,10 @@ class PowerCurve:
         object.__setattr__(self, "n_reps", int(self.n_reps))
 
 
-def _run_power_grid(make_samples, grid, n_reps, alpha, msd, rng_seed, test, n_perm):
+def _power_curve(make_samples, grid, h0_value, n_reps, alpha, msd, rng_seed, test,
+                 n_perm):
+    """Rejection rates over `grid`; with msd, extras hold the rate after
+    denoising at the null value `h0_value` and whether it exceeds alpha."""
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
     before = np.zeros(len(grid))
@@ -364,18 +359,12 @@ def _run_power_grid(make_samples, grid, n_reps, alpha, msd, rng_seed, test, n_pe
         before[gi] = hits_before / n_reps
         if msd:
             after[gi] = hits_after / n_reps
-    return before, after
-
-
-def _h0_extras(curve_grid, h0_value, after, alpha):
     extras = {}
-    if after is not None:
-        for gi, g in enumerate(curve_grid):
-            if g == h0_value:
-                rate = float(after[gi])
-                extras["h0_after_rate"] = rate
-                extras["h0_inflated"] = bool(rate > alpha)
-    return extras
+    if msd:
+        for value, rate in zip(grid, after):
+            if value == h0_value:
+                extras = {"h0_after_rate": float(rate), "h0_inflated": bool(rate > alpha)}
+    return PowerCurve(grid, before, after, n_reps, test, alpha, extras)
 
 
 def power_experiment_uniform_noise(n0=1000, noise_grid=(0, 100, 200, 300, 400, 500),
@@ -400,10 +389,7 @@ def power_experiment_uniform_noise(n0=1000, noise_grid=(0, 100, 200, 300, 400, 5
             s2 = np.vstack([s2, noise])
         return s1, s2
 
-    before, after = _run_power_grid(make, grid, n_reps, alpha, msd, rng_seed,
-                                    test, n_perm)
-    extras = _h0_extras(grid, 0, after, alpha)
-    return PowerCurve(grid, before, after, n_reps, test, alpha, extras)
+    return _power_curve(make, grid, 0, n_reps, alpha, msd, rng_seed, test, n_perm)
 
 
 def power_experiment_mixture_proportion(pi_grid=(0.5, 0.45, 0.4, 0.35, 0.3, 0.25, 0.2),
@@ -424,7 +410,4 @@ def power_experiment_mixture_proportion(pi_grid=(0.5, 0.45, 0.4, 0.35, 0.3, 0.25
         s2 = gen_gmm_1d(n0, mix=0.5, rng_seed=rng).points
         return s1, s2
 
-    before, after = _run_power_grid(make, grid, n_reps, alpha, msd, rng_seed,
-                                    test, n_perm)
-    extras = _h0_extras(grid, 0.5, after, alpha)
-    return PowerCurve(grid, before, after, n_reps, test, alpha, extras)
+    return _power_curve(make, grid, 0.5, n_reps, alpha, msd, rng_seed, test, n_perm)

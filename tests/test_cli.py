@@ -279,6 +279,18 @@ def test_twosample_report_merges_extras_and_csv_text(tmp_path):
         "0,%.17g,%.17g,1\n" % (rep["power_before"][0], rep["power_after"][0]))
 
 
+def test_twosample_mmd_rates_pinned(tmp_path):
+    # the pooled MMD path end to end, before and after denoising: rates
+    # recorded from the per-sample-block formulas the oracle tests keep
+    code, rep = run_cli(tmp_path, ["twosample", "--scenario", "mixture", "--test", "mmd",
+                                   "--grid", "0.5,0.35,0.2", "--n0", "80", "--reps", "8",
+                                   "--n-perm", "99", "--seed", "3"])
+    assert code == 0
+    assert rep["power_before"] == [0.0, 0.375, 0.875]
+    assert rep["power_after"] == [0.0, 0.5, 0.75]
+    assert rep["h0_after_rate"] == 0.0 and rep["h0_inflated"] is False
+
+
 @pytest.mark.parametrize("alpha", ["1.5", "nan", "0", "1"])
 def test_twosample_alpha_outside_unit_interval(capsys, alpha):
     code = main(["twosample", "--scenario", "noise", "--grid", "0", "--n0", "50",

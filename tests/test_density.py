@@ -304,6 +304,10 @@ def test_normal_scale_rejects_degenerate_coordinate():
     data = np.column_stack([np.arange(5.0), np.ones(5)])
     with pytest.raises(ValueError):
         select_bandwidth_normal_scale(data)
+    # finite data whose variance overflows: an error naming the data, not
+    # h = inf, and no RuntimeWarning
+    with pytest.raises(ValueError, match="of the data has a spread that overflows"):
+        select_bandwidth_normal_scale(np.linspace(0.0, 1e200, 3))
 
 
 def test_scv_within_factor_two_of_normal_scale():
@@ -484,6 +488,9 @@ def test_scv_requires_ten_points():
 def test_scv_rejects_degenerate_data():
     with pytest.raises(ValueError):
         select_bandwidth_scv(np.zeros((20, 1)))
+    # an overflowing spread: an error naming the data, not h = nan
+    with pytest.raises(ValueError, match="of the data has a spread that overflows"):
+        select_bandwidth_scv(np.linspace(0.0, 1e200, 20))
 
 
 _SEEDS_CSV = os.environ.get("MSDENOISE_SEEDS_CSV", os.path.join(os.path.dirname(__file__), "data", "seeds.csv"))

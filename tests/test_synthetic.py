@@ -13,7 +13,6 @@ from msdenoise.synthetic import (
     gen_spiral,
     gen_uniform_noise,
     plant_outliers,
-    with_noise,
 )
 from msdenoise.density import PointCloud
 
@@ -187,7 +186,7 @@ def test_plant_outliers_dimension_mismatch():
 
 def test_with_noise_labels():
     lab = gen_bullseye(100, rng_seed=0)
-    noisy = with_noise(lab, gen_uniform_noise(30, [-6.5, -6.5], [6.5, 6.5], rng_seed=1))
+    noisy = plant_outliers(lab, gen_uniform_noise(30, [-6.5, -6.5], [6.5, 6.5], rng_seed=1).points)
     assert len(noisy) == 130
     assert noisy.n_labels == 3
     assert int((noisy.labels == 2).sum()) == 30

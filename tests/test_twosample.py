@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist, pdist
 
 from msdenoise import cli, twosample
 from msdenoise.twosample import (
@@ -14,8 +15,26 @@ from msdenoise.twosample import (
     permutation_test,
     power_experiment_mixture_proportion,
     power_experiment_uniform_noise,
-    _median_pairwise,
+    _median_distance,
 )
+
+
+# Direct formulas, one distance block per pair of samples, as an oracle for
+# the pooled route: its block means must give these bits.
+def _energy_oracle(x, y):
+    n, m = x.shape[0], y.shape[0]
+    cross, within_x, within_y = cdist(x, y).mean(), cdist(x, x).mean(), cdist(y, y).mean()
+    return float(n * m / (n + m) * (2.0 * cross - within_x - within_y))
+
+
+def _mmd_oracle(x, y, sigma=None):
+    if sigma is None:
+        sigma = float(np.median(pdist(np.vstack([x, y]))))
+    scale = -0.5 / sigma**2
+    kxy = np.exp(scale * cdist(x, y, "sqeuclidean")).mean()
+    kxx = np.exp(scale * cdist(x, x, "sqeuclidean")).mean()
+    kyy = np.exp(scale * cdist(y, y, "sqeuclidean")).mean()
+    return float(kxx + kyy - 2.0 * kxy)
 
 
 class TestEnergyStatistic:
@@ -70,7 +89,7 @@ class TestMMD:
     def test_auto_sigma_is_pooled_median(self):
         rng = np.random.default_rng(5)
         x, y = rng.normal(size=(12, 1)), rng.normal(2.0, 1.0, (9, 1))
-        sigma = _median_pairwise(np.vstack([x, y]))
+        sigma = _median_distance(pdist(np.vstack([x, y]), "sqeuclidean"))
         assert mmd2_biased(x, y) == mmd2_biased(x, y, kernel_sigma=sigma)
 
     @pytest.mark.parametrize("pool", [
@@ -82,13 +101,11 @@ class TestMMD:
         np.zeros((1, 1)),                                 # no pairs
     ])
     def test_median_from_squared_pairs_matches_numpy_median(self, pool):
-        from scipy.spatial.distance import pdist
-
         d = pdist(pool)
         med = float(np.median(d)) if d.size else 0.0
         positive = d[d > 0.0]
         want = med if med > 0.0 else (float(positive.min()) if positive.size else 1.0)
-        assert _median_pairwise(pool) == want
+        assert _median_distance(pdist(pool, "sqeuclidean")) == want
 
     def test_degenerate_pool_fallback(self):
         # all points coincide: any sigma gives a zero statistic
@@ -142,6 +159,10 @@ class TestPermutationTest:
                 slow = permutation_test(func, x, y, n_perm=199, rng_seed=seed)
                 assert fast.p_value == slow.p_value
                 assert fast.statistic == slow.statistic
+            if name == "mmd":
+                assert fast.statistic == _mmd_oracle(x, y)
+            elif d >= 2:
+                assert fast.statistic == _energy_oracle(x, y)
 
     @pytest.mark.parametrize("n,m", [(137, 211), (1000, 1300)])
     def test_sorted_route_matches_generic(self, n, m):
@@ -155,15 +176,25 @@ class TestPermutationTest:
         assert fast.p_value == slow.p_value
         assert fast.statistic == slow.statistic
 
-    @pytest.mark.parametrize("n,m,d", [(137, 211, 2), (1000, 1300, 1)])
+    @pytest.mark.parametrize("n,m,d", [
+        (137, 211, 2), (1000, 1300, 1), (137, 211, 3), (1000, 1300, 2),
+    ])
     def test_pooled_observed_equals_direct_statistic(self, n, m, d):
         # sizes at which a mean over the non-contiguous blocks of the pooled
-        # matrix rounds differently from the direct statistic
+        # matrix rounds differently from the per-sample blocks of the oracle
         rng = np.random.default_rng(11)
         x = rng.normal(size=(n, d))
         y = rng.normal(0.2, 1.1, (m, d))
-        assert permutation_test("energy", x, y, n_perm=99).statistic == energy_statistic(x, y)
-        assert permutation_test("mmd", x, y, n_perm=99).statistic == mmd2_biased(x, y)
+        energy = permutation_test("energy", x, y, n_perm=99).statistic
+        if d == 1:  # the sorted route, scored the same way in both calls
+            assert energy == energy_statistic(x, y)
+        else:
+            assert energy == energy_statistic(x, y) == _energy_oracle(x, y)
+        mmd = permutation_test("mmd", x, y, n_perm=99).statistic
+        assert mmd == mmd2_biased(x, y) == _mmd_oracle(x, y)
+        assert mmd2_biased(x, y, kernel_sigma=None) == mmd
+        for sigma in (0.7, 2.5):
+            assert mmd2_biased(x, y, kernel_sigma=sigma) == _mmd_oracle(x, y, sigma)
 
     def test_sorted_statistics_match_long_double_oracle(self, sorted_cases):
         def oracle(a, b):
@@ -251,8 +282,11 @@ class TestPermutationTest:
         d = 2 if stat == "energy" else 1  # 1-D energy builds no pooled matrix
         x = np.zeros((total // 2, d))
         y = np.ones((total - total // 2, d))
-        with pytest.raises(ValueError, match=f"n\\+m={total} exceeds the limit of {limit} entries"):
-            permutation_test(stat, x, y, n_perm=99)
+        direct = energy_statistic if stat == "energy" else mmd2_biased
+        for run in (lambda: permutation_test(stat, x, y, n_perm=99), lambda: direct(x, y)):
+            with pytest.raises(ValueError,
+                               match=f"n\\+m={total} exceeds the limit of {limit} entries"):
+                run()
         # the indicator and its product with the matrix hold 2 (n+m) n_perm
         # floats: refused before any distance, however small the matrix
         x, y = x[:100], y[:100]
