@@ -486,6 +486,8 @@ def empirical_population_gap(density: AnalyticDensity, probe_set: LevelSetSpec,
     n_grid = np.asarray(n_grid, dtype=int)
     if np.any(np.diff(n_grid) <= 0) or np.any(n_grid < 100):
         raise ValueError("n_grid must be strictly increasing with all n >= 100")
+    if n_reps < 2:
+        raise ValueError(f"n_reps must be >= 2 for a standard error, got {n_reps}")
     sampler = _require_sampler(density)
     means, ses = [], []
     for i, n in enumerate(n_grid):
@@ -677,6 +679,8 @@ def multi_sweep_mode_growth(density: AnalyticDensity, n_data: int = 1000, h: flo
         raise ValueError("sweeps must be >= 1")
     if density.modes is None:
         raise ValueError("density must declare at least one mode")
+    if density.hess_sup is None:
+        raise ValueError("admissibility guard needs hess_sup")
     sampler = _require_sampler(density)
     if ball_radius is None:
         ball_radius = 0.5 * h

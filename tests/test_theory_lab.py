@@ -1,5 +1,6 @@
 """Lab checks: oracles for the MC machinery plus desk-scale property runs."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -244,6 +245,19 @@ def test_empirical_population_gap_requires_n100(gmm, gmm_spec):
         lab.empirical_population_gap(gmm, gmm_spec, [50, 200], h=0.3, n_reps=2)
 
 
+def _refusing_sampler(rng, n):
+    raise AssertionError("sampled before the arguments were checked")
+
+
+@pytest.mark.parametrize("n_reps", [0, 1])
+def test_empirical_population_gap_requires_two_reps(gmm, gmm_spec, n_reps):
+    # one replicate has no standard error, none has no mean: refused before
+    # any sample is drawn, with no RuntimeWarning on the way
+    unsampled = dataclasses.replace(gmm, sampler=_refusing_sampler)
+    with pytest.raises(ValueError, match="n_reps must be >= 2"):
+        lab.empirical_population_gap(unsampled, gmm_spec, [200, 400], h=0.3, n_reps=n_reps)
+
+
 def test_same_sample_shift_gap_is_zero(gmm, gmm_spec):
     # the operator applied to identical clouds gives identical masses
     rng = np.random.default_rng(0)
@@ -320,6 +334,12 @@ def test_multi_sweep_mode_growth(gmm):
     assert rep.slope > 0.0
     with pytest.raises(ValueError):
         lab.multi_sweep_mode_growth(gmm, sweeps=0)
+
+
+def test_multi_sweep_mode_growth_requires_hess_sup(gmm):
+    unbounded = dataclasses.replace(gmm, hess_sup=None, sampler=_refusing_sampler)
+    with pytest.raises(ValueError, match="admissibility guard needs hess_sup"):
+        lab.multi_sweep_mode_growth(unbounded, n_data=200, n_mc=1000)
 
 
 def test_scaling_report_invariants():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,17 +165,45 @@ class TestPermutationTest:
             elif d >= 2:
                 assert fast.statistic == _energy_oracle(x, y)
 
-    @pytest.mark.parametrize("n,m", [(137, 211), (1000, 1300)])
+    @pytest.mark.parametrize("n,m", [(137, 211), (1000, 1300), (1, 2), (2, 1), (2, 137)])
     def test_sorted_route_matches_generic(self, n, m):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(n, 1))
         # a shift small enough that many permuted values sit near the observed
         y = rng.normal(0.05, 1.0, (m, 1))
-        fast = permutation_test("energy", x, y, n_perm=199, rng_seed=4)
-        slow = permutation_test(energy_statistic, x, y, n_perm=199, rng_seed=4)
-        assert 0.01 < fast.p_value < 1.0
-        assert fast.p_value == slow.p_value
-        assert fast.statistic == slow.statistic
+        pooled = np.vstack([x, y])
+        for n_perm in (99, 199, 1000):
+            # the last block of permutations is a partial one
+            assert n_perm % twosample._PERM_BLOCK
+            fast = permutation_test("energy", x, y, n_perm=n_perm, rng_seed=4)
+            slow = permutation_test(energy_statistic, x, y, n_perm=n_perm, rng_seed=4)
+            if min(n, m) > 2:
+                assert 0.01 < fast.p_value < 1.0
+            assert fast.p_value == slow.p_value
+            assert fast.statistic == slow.statistic
+            # every permuted value, block by block, is the callable on its
+            # split, and the generator ends where one draw per permutation
+            # leaves it
+            rng_route, rng_draws = np.random.default_rng(4), np.random.default_rng(4)
+            stats = twosample._sorted_permutation_stats(x, y, n_perm, rng_route)
+            for stat in stats:
+                perm = rng_draws.permutation(n + m)
+                assert stat == energy_statistic(pooled[perm[:n]], pooled[perm[n:]])
+            assert rng_route.bit_generator.state == rng_draws.bit_generator.state
+
+    def test_sorted_route_peak_memory(self):
+        # the bound stated at _PERM_BLOCK: two reused blocks of permutations
+        # and a few arrays of n+m numbers, however many permutations are drawn
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(1000, 1))
+        y = rng.normal(size=(1300, 1))
+        tracemalloc.start()
+        try:
+            permutation_test("energy", x, y, n_perm=199)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("n,m,d", [
         (137, 211, 2), (1000, 1300, 1), (137, 211, 3), (1000, 1300, 2),
