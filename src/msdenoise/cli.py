@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .anomaly import anomaly_scores, top_k
 from .clustering import run_clustering_case, run_dataset_eval
-from .density import PointCloud, fit, select_bandwidth_scv
+from .density import PointCloud, density_at, fit, select_bandwidth_scv
 from .density import standardize as _standardize
 from .shift import ShiftOperator, denoise
 from .synthetic import (
@@ -241,9 +241,9 @@ def cmd_denoise(args):
     h = _resolve_bandwidth(args.h, arr)
     model = fit(arr, h)
     op = ShiftOperator(model)
-    mean_before = float(model.density_at(arr).mean())
+    mean_before = float(density_at(model, arr).mean())
     moved = denoise(arr, op, sweeps=args.sweeps).points
-    mean_after = float(model.density_at(moved).mean())
+    mean_after = float(density_at(model, moved).mean())
     _write_csv(args.output, moved, header)
     report = _report(args, bandwidth=h, rows=int(arr.shape[0]),
                      dim=int(arr.shape[1]), kde_mean_before=mean_before,
@@ -253,6 +253,8 @@ def cmd_denoise(args):
 
 def cmd_cluster_eval(args):
     if args.dataset:
+        if args.knn is not None or args.sigma is not None:
+            raise CliError("--knn and --sigma apply to --case runs only, not to --dataset")
         if not args.input:
             raise CliError("--dataset requires --input pointing at the CSV file")
         cloud, labels = load_dataset(args.dataset, args.input, with_labels=True)

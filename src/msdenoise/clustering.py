@@ -160,7 +160,10 @@ def kmeans(data, k, rng_seed=0) -> LabelSet:
     """Best of `_RESTARTS` k-means++ / Lloyd runs into k groups.
 
     Restart r draws from its own generator, `_rng(rng_seed, r)`; the first
-    restart of least within-cluster sum of squares wins.
+    restart of least within-cluster sum of squares wins.  Seeding draws
+    points by row index, so reordered rows draw other seeds and may give
+    other labels; on well-separated groups the partition is the same up to
+    relabelling.
     """
     pts = _as_cloud(data).points
     n, d = pts.shape
@@ -178,17 +181,11 @@ def kmeans(data, k, rng_seed=0) -> LabelSet:
     return LabelSet(best, k)
 
 
-def _auto_sigma(pts, pair, rng_seed):
-    """Median of `pair`, the distances of `pts`, or of a 500-point subsample's."""
-    from scipy.spatial.distance import pdist
-
-    n = pts.shape[0]
-    if n > 500:
-        idx = _rng(rng_seed, 1).choice(n, 500, replace=False)
-        pair = pdist(pts[np.sort(idx)])
+def _auto_sigma(pair):
+    """Median of the pair distances `pair`: the automatic affinity scale."""
     med = float(np.median(pair))
     if med <= 0.0:
-        raise ValueError("cannot pick a bandwidth: subsample has zero spread")
+        raise ValueError("cannot pick a bandwidth: the points have zero spread")
     return med
 
 
@@ -275,12 +272,13 @@ _MAX_SPECTRAL_POINTS = 8192
 def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
     """Normalized spectral clustering with a gaussian affinity.
 
-    Builds exp(-d^2 / 2 sigma^2) affinities (optionally sparsified to a
-    symmetrized k-nearest-neighbor graph), takes the k leading eigenvectors
-    of D^{-1/2} A D^{-1/2}, normalizes the rows, and k-means them.  Only
-    those k eigenpairs are computed (LAPACK ``syevr`` with an index subset),
-    and LAPACK works in the normalized matrix itself: it is exactly
-    symmetric, so its transpose is the Fortran-order array LAPACK reads.
+    Builds exp(-d^2 / 2 sigma^2) affinities (sigma "auto" is the median
+    pair distance; optionally sparsified to a symmetrized k-nearest-neighbor
+    graph), takes the k leading eigenvectors of D^{-1/2} A D^{-1/2},
+    normalizes the rows, and k-means them.  Only those k eigenpairs are
+    computed (LAPACK ``syevr`` with an index subset), and LAPACK works in
+    the normalized matrix itself: it is exactly symmetric, so its transpose
+    is the Fortran-order array LAPACK reads.
     Connected components are counted by breadth-first search on the dense
     graph; if there are more than k a warning is issued and clustering
     proceeds anyway.  More than `_MAX_SPECTRAL_POINTS` points, or a `knn`
@@ -317,7 +315,7 @@ def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
     # one pass over the pairs serves the automatic scale and the affinities
     pair = pdist(pts)
     if auto:
-        sigma = _auto_sigma(pts, pair, rng_seed)
+        sigma = _auto_sigma(pair)
     aff = _affinity(pair, sigma, knn)
     del pair  # overwritten by the affinities; freed before the eigensolve
     # counted before scaling, which can underflow an edge to zero

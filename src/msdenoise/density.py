@@ -165,12 +165,6 @@ class DensityModel:
     def dim(self) -> int:
         return self.data.dim
 
-    def density_at(self, x):
-        return density_at(self, x)
-
-    def gradient_at(self, x):
-        return gradient_at(self, x)
-
 
 def fit(data, bandwidth: float) -> DensityModel:
     """Build a density model over `data` (PointCloud or array-like)."""

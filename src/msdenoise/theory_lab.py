@@ -46,7 +46,6 @@ __all__ = [
     "gmm_level_spec",
     "level_scale_family",
     "mixture_tilt_family",
-    "level_set_mass",
     "mass_increase_curve",
     "geometric_density_at",
     "mode_density_ratio_curve",
@@ -282,19 +281,15 @@ def gmm_density(mix: float = 0.7, mu1: float = 0.0, mu2: float = 5.0,
                            hess_sup=hess_sup, sampler=sampler)
 
 
-def gmm_level_spec(density: AnalyticDensity, level: Optional[float] = None) -> LevelSetSpec:
+def gmm_level_spec(density: AnalyticDensity) -> LevelSetSpec:
     """Level set of a 1-D mixture fixture with analytic boundary diagnostics.
 
-    Default level: half the height of the lower mode, which puts the
-    boundary on well-conditioned slopes of both bumps.
+    The level is half the height of the lower mode, which puts the boundary
+    on well-conditioned slopes of both bumps.
     """
     if density.modes is None or density.dim != 1:
         raise ValueError("need a 1-D density with declared modes")
-    mode_heights = np.asarray(density.density(density.modes), dtype=float)
-    if level is None:
-        level = 0.5 * float(mode_heights.min())
-    if level >= mode_heights.max():
-        raise ValueError("level is above the highest mode; level set empty")
+    level = 0.5 * float(np.asarray(density.density(density.modes), dtype=float).min())
 
     span = float(density.modes.max() - density.modes.min()) + 1.0
     lo = float(density.modes.min()) - 6.0 * span / 5.0
@@ -312,11 +307,6 @@ def gmm_level_spec(density: AnalyticDensity, level: Optional[float] = None) -> L
 
 # ---------------------------------------------------------------------------
 # level-set mass concentration
-
-
-def level_set_mass(dist_sample, spec: LevelSetSpec) -> float:
-    """Fraction of the sample inside the level set: a plain MC mass estimate."""
-    return float(spec.contains(_as_cloud(dist_sample).points).mean())
 
 
 def _admissible_h_sq(level: float, hess_sup: float, g0: float) -> float:
@@ -339,6 +329,8 @@ def mass_increase_curve(density: AnalyticDensity, spec: LevelSetSpec, h_grid: Se
     h_grid = np.asarray(h_grid, dtype=float)
     if np.any(np.diff(h_grid) <= 0.0) or np.any(h_grid <= 0.0):
         raise ValueError("h_grid must be positive and strictly increasing")
+    if n_mc < 2:
+        raise ValueError(f"n_mc must be >= 2 for a standard error, got {n_mc}")
     if density.hess_sup is None or spec.gradient_floor is None:
         raise ValueError("admissibility guard needs hess_sup and gradient_floor")
     h2max = _admissible_h_sq(spec.level, density.hess_sup, spec.gradient_floor)
@@ -619,10 +611,6 @@ def perturbation_response(family: PerturbationFamily, deltas: Sequence[float], t
             mass = float(probe.contains(op.step(x)).mean())
             grid[i] = family.delta1(float(d))
         elif situation == "step":
-            if d == 0.0:
-                values[i] = 0.0
-                grid[i] = 0.0
-                continue
             op = ShiftOperator(family.base, tau=tau + float(d))
             mass = float(probe.contains(op.step(x)).mean())
             grid[i] = float(d)
@@ -663,16 +651,16 @@ def monotone_ascent_audit(model: DensityModel, probes) -> int:
 
 
 def multi_sweep_mode_growth(density: AnalyticDensity, n_data: int = 1000, h: float = 0.25,
-                            sweeps: int = 5, n_mc: int = 200000, rng_seed: int = 0,
-                            ball_radius: Optional[float] = None) -> ScalingReport:
+                            sweeps: int = 5, n_mc: int = 200000,
+                            rng_seed: int = 0) -> ScalingReport:
     """Ball density at the operator's mode after N fixed-operator sweeps.
 
     Fits the operator on a data sample, locates its mode by converging from
     the declared population mode, then pushes a large population sample
     through N = 0..sweeps sweeps, recording the ball-count density at that
-    mode each time.  The claimed compounding gives strictly increasing
-    values with per-sweep geometric growth of at least (1 + c1 h^2) over the
-    true mode density; `extras['c1_fit']` reports the fitted c1.  The slope
+    mode (ball radius h/2) each time.  The claimed compounding gives
+    strictly increasing values with per-sweep geometric growth of at least
+    (1 + c1 h^2) over the true mode density; `extras['c1_fit']` reports the fitted c1.  The slope
     is per-sweep log growth (semi-log fit, `extras['fit'] = 'semilog'`).
     """
     if sweeps < 1:
@@ -682,8 +670,7 @@ def multi_sweep_mode_growth(density: AnalyticDensity, n_data: int = 1000, h: flo
     if density.hess_sup is None:
         raise ValueError("admissibility guard needs hess_sup")
     sampler = _require_sampler(density)
-    if ball_radius is None:
-        ball_radius = 0.5 * h
+    ball_radius = 0.5 * h
     rng = _rng(rng_seed)
     data = sampler(rng, int(n_data))
     model = fit(data, h)

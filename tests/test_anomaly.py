@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from msdenoise import ShiftOperator, fit, shift_until_converged
+from msdenoise import ShiftOperator, density_at, fit, shift_until_converged
 from msdenoise.anomaly import AnomalyReport, anomaly_scores, top_k
 from msdenoise.synthetic import default_anomaly_scenario
 
@@ -84,7 +84,7 @@ def test_monotone_ascent_along_traces():
     model = fit(data, 0.4)
     report = anomaly_scores(data, model, keep_traces=True)
     for trace in report.traces:
-        dens = model.density_at(trace.path)
+        dens = density_at(model, trace.path)
         assert np.all(np.diff(dens) >= -1e-12)
 
 

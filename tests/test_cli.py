@@ -212,6 +212,19 @@ def test_cluster_eval_usage_errors(tmp_path):
                  "--sigma", "wat"]) == 2
 
 
+@pytest.mark.parametrize("flags", [["--knn", "5"], ["--sigma", "0.01"],
+                                   ["--knn", "5", "--sigma", "auto"]])
+def test_cluster_eval_dataset_refuses_case_graph_flags(tmp_path, capsys, flags):
+    # run_dataset_eval takes no graph settings, so these would be ignored
+    f = tmp_path / "seeds.csv"
+    _fake_seeds_csv(f, with_label=True)
+    argv = ["cluster-eval", "--dataset", "seeds", "--input", str(f), "--reps", "1",
+            "--no-msd"]
+    assert main(argv + flags) == 2
+    assert "not to --dataset" in capsys.readouterr().err
+    assert main(argv) == 0
+
+
 @pytest.mark.parametrize("h,code", [("wat", 2), ("-1", 2), ("0.3", 0), ("scv", 0)])
 def test_cluster_eval_no_msd_still_parses_h(tmp_path, h, code):
     got, rep = run_cli(tmp_path, ["cluster-eval", "--case", "spiral4", "--reps", "1",

@@ -209,6 +209,17 @@ class TestKMeans:
         b = kmeans(pts, 3, rng_seed=5)
         assert np.array_equal(a.labels, b.labels)
 
+    def test_row_order_keeps_well_separated_partition(self):
+        # seeding draws by row index, so a permutation changes the seeds; on
+        # well-separated blobs the partition survives up to relabelling
+        rng = np.random.default_rng(0)
+        pts = np.vstack([rng.normal(c, 0.3, (60, 2)) for c in ((0, 0), (6, 0), (0, 6))])
+        base = kmeans(pts, 3).labels
+        for _ in range(50):
+            order = rng.permutation(len(pts))
+            got = kmeans(pts[order], 3).labels
+            assert ari(got, base[order]) == 1.0
+
     def test_validation(self):
         pts, _ = two_blobs(5)
         with pytest.raises(ValueError):
@@ -292,10 +303,10 @@ class TestSpectral:
             shapes.clear()
             spectral(pts, 2, knn=knn)
             assert shapes == [(60, 2)]
-        # above 500 points the scale comes from a 500-point subsample
+        # above 500 points too: the scale is the median of the same distances
         shapes.clear()
         spectral(two_blobs(n_per=260)[0], 2)
-        assert shapes == [(520, 2), (500, 2)]
+        assert shapes == [(520, 2)]
 
     def test_disconnected_graph_warns(self):
         rng = np.random.default_rng(0)
@@ -379,7 +390,7 @@ def normalized_reference(aff):
 def spectral_full_reference(pts, k, affinity_sigma, knn=None, rng_seed=0):
     """`spectral` with the full spectrum from np.linalg.eigh."""
     if affinity_sigma == "auto":
-        affinity_sigma = _auto_sigma(pts, pdist(pts), rng_seed)
+        affinity_sigma = _auto_sigma(pdist(pts))
     m = normalized_reference(affinity(pts, affinity_sigma, knn))
     rows = np.linalg.eigh(m)[1][:, -k:]
     norms = np.linalg.norm(rows, axis=1)
@@ -418,7 +429,7 @@ class TestSpectralSubsetSolver:
         for name, pts, _, kw in self.cases():
             sigma = kw["affinity_sigma"]
             if sigma == "auto":
-                sigma = _auto_sigma(pts, pdist(pts), 0)
+                sigma = _auto_sigma(pdist(pts))
             aff = affinity(pts, sigma, kw.get("knn"))
             want = normalized_reference(aff)
             _normalize(aff)

@@ -235,7 +235,6 @@ def _point_entry_points():
 
     good = np.random.default_rng(0).normal(size=(12, 2))
     model = fit(good, 1.0)
-    spec = lab.LevelSetSpec(density=lambda q: np.ones(len(q)), level=0.5)
     return [
         ("fit", lambda x: fit(x, 1.0)),
         ("denoise", lambda x: denoise(x, ShiftOperator(model))),
@@ -250,7 +249,6 @@ def _point_entry_points():
         ("permutation_test", lambda x: permutation_test("energy", x, good, n_perm=99)),
         ("msd_pipeline", msd_pipeline),
         ("anomaly_scores", lambda x: anomaly_scores(x, model)),
-        ("level_set_mass", lambda x: lab.level_set_mass(x, spec)),
         ("geometric_density_at", lambda x: lab.geometric_density_at(x, [0.0, 0.0], 1.0)),
         ("monotone_ascent_audit", lambda x: lab.monotone_ascent_audit(model, x)),
     ]

@@ -144,7 +144,7 @@ def test_level_set_mass_normal_interval_oracle():
     spec = lab.LevelSetSpec(density=nrm.density, level=float(nrm.density(np.array([[1.0]]))[0]))
     n = 100000
     x = nrm.sampler(np.random.default_rng(4), n)
-    mass = lab.level_set_mass(x, spec)
+    mass = float(spec.contains(x).mean())
     target = math.erf(1.0 / math.sqrt(2.0))  # mass of [-1, 1]
     assert abs(mass - target) < 4.0 * math.sqrt(target * (1.0 - target) / n)
 
@@ -152,8 +152,8 @@ def test_level_set_mass_normal_interval_oracle():
 def test_level_set_mass_extreme_levels():
     nrm = lab.standard_normal_density()
     x = nrm.sampler(np.random.default_rng(1), 500)
-    assert lab.level_set_mass(x, lab.LevelSetSpec(nrm.density, 1e-300)) == 1.0
-    assert lab.level_set_mass(x, lab.LevelSetSpec(nrm.density, 1.0)) == 0.0
+    assert lab.LevelSetSpec(nrm.density, 1e-300).contains(x).mean() == 1.0
+    assert lab.LevelSetSpec(nrm.density, 1.0).contains(x).mean() == 0.0
 
 
 def test_level_set_spec_validation():
@@ -258,13 +258,29 @@ def test_empirical_population_gap_requires_two_reps(gmm, gmm_spec, n_reps):
         lab.empirical_population_gap(unsampled, gmm_spec, [200, 400], h=0.3, n_reps=n_reps)
 
 
+@pytest.mark.parametrize("n_mc", [0, 1])
+def test_mass_increase_curve_requires_two_samples(gmm, gmm_spec, n_mc):
+    # one sample has no standard error, none has no mean: refused before
+    # any sample is drawn, with no RuntimeWarning on the way
+    unsampled = dataclasses.replace(gmm, sampler=_refusing_sampler)
+    with pytest.raises(ValueError, match="n_mc must be >= 2"):
+        lab.mass_increase_curve(unsampled, gmm_spec, [0.1, 0.2], n_mc=n_mc)
+
+
+@pytest.mark.parametrize("check", ["t1", "t2", "t4", "t6"])
+def test_run_check_passes_every_band(check):
+    # t5 runs in the benchmark and ascent through the CLI tests
+    result = lab.run_check(check, 0)
+    assert result["checks"] and all(v is True for v in result["checks"].values())
+
+
 def test_same_sample_shift_gap_is_zero(gmm, gmm_spec):
     # the operator applied to identical clouds gives identical masses
     rng = np.random.default_rng(0)
     data = gmm.sampler(rng, 300)
     op = ShiftOperator(fit(data, 0.3))
-    a = lab.level_set_mass(op.step(data), gmm_spec)
-    b = lab.level_set_mass(op.step(data.copy()), gmm_spec)
+    a = gmm_spec.contains(op.step(data)).mean()
+    b = gmm_spec.contains(op.step(data.copy())).mean()
     assert a == b
 
 
