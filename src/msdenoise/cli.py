@@ -268,6 +268,8 @@ def cmd_cluster_eval(args):
                                    algo=args.algo, n_reps=args.reps,
                                    rng_seed=args.seed, msd=args.msd, bandwidth=h)
     elif args.case:
+        if args.algo != "spectral" and (args.knn is not None or args.sigma is not None):
+            raise CliError(f"--knn and --sigma apply to --algo spectral only, not to {args.algo}")
         sigma = args.sigma
         if sigma not in (None, "auto"):
             try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import _as_cloud, fit, select_bandwidth_scv
+from .density import _as_cloud, _by_column, _sq_distances, fit, select_bandwidth_scv
 from .shift import ShiftOperator
 from .synthetic import _CASES, _generate_case, _rng
 
@@ -23,9 +23,9 @@ _MAX_LLOYD = 300
 # k-means++ restarts per `kmeans` call.  Their Lloyd iterations run as one
 # batch, one leading array index per restart.
 _RESTARTS = 10
-# A Lloyd batch peaks at (d + 7) n to (d + 8) n 8-byte words per restart
-# by tracemalloc; inputs too large to batch every restart under this many words
-# run their restarts in smaller batches.
+# A Lloyd batch peaks below (d + 8) n 8-byte words per restart by tracemalloc
+# (7.3 n at d = 1 and 2, 9.5 n at d = 5); inputs too large to batch every
+# restart under this many words run their restarts in smaller batches.
 _BATCH_WORDS = 1 << 22
 
 
@@ -53,16 +53,6 @@ class LabelSet:
         return self.labels.size
 
 
-def _sq_dist(pts, centres):
-    """Squared distances (A, n) from each point to each of A centres (A, d).
-
-    Direct differences, not the expanded square: translating the data moves
-    no distance by more than its rounding.
-    """
-    diff = pts - centres[:, None, :]
-    return np.square(diff, out=diff).sum(axis=2)
-
-
 def _kmeanspp(pts, k, rngs):
     """k-means++ seeds (A, k, d), one seeding per generator in `rngs`.
 
@@ -73,7 +63,8 @@ def _kmeanspp(pts, k, rngs):
     centres = np.empty((len(rngs), k, pts.shape[1]))
     for a, rng in enumerate(rngs):
         centres[a, 0] = pts[int(rng.integers(n))]
-    d2 = _sq_dist(pts, centres[:, 0])
+    d2, new, scratch = (np.empty((len(rngs), n)) for _ in range(3))
+    _sq_distances(d2, scratch, pts.T, centres[:, 0])
     for j in range(1, k):
         for a, rng in enumerate(rngs):
             total = d2[a].sum()
@@ -81,7 +72,8 @@ def _kmeanspp(pts, k, rngs):
                 centres[a, j] = pts[rng.choice(n, p=d2[a] / total)]
             else:
                 centres[a, j] = pts[int(rng.integers(n))]
-        np.minimum(d2, _sq_dist(pts, centres[:, j]), out=d2)
+        _sq_distances(new, scratch, pts.T, centres[:, j])
+        np.minimum(d2, new, out=d2)
     return centres
 
 
@@ -89,12 +81,15 @@ def _assign(pts, centres):
     """Nearest of k centres (A, k, d) for every point, under each of A sets.
 
     Returns labels (A, n), the first nearest centre on ties as `argmin`
-    picks it, and each point's squared distance to that centre.
+    picks it, and each point's squared distance to that centre.  Distances
+    come from direct differences, not the expanded square: translating the
+    data moves none by more than its rounding.
     """
-    own = _sq_dist(pts, centres[:, 0])
+    own, d2, scratch = (np.empty((centres.shape[0], pts.shape[0])) for _ in range(3))
+    _sq_distances(own, scratch, pts.T, centres[:, 0])
     labels = np.zeros(own.shape, dtype=np.int64)
     for j in range(1, centres.shape[1]):
-        d2 = _sq_dist(pts, centres[:, j])
+        _sq_distances(d2, scratch, pts.T, centres[:, j])
         closer = d2 < own
         labels[closer] = j
         np.copyto(own, d2, where=closer)
@@ -252,11 +247,12 @@ def _normalize(aff):
     step = max(1, (1 << 15) // n)
     for i in range(0, n, step):
         rows = aff[i:i + step]
-        si = s[i:i + step, None]
-        x = rows * si
+        si = s[i:i + step]
+        x = np.empty_like(rows)
+        _by_column(np.multiply, rows, si, x)
         x *= s
         y = rows * s
-        y *= si
+        _by_column(np.multiply, y, si, y)
         np.add(x, y, out=rows)
         rows *= 0.5
 

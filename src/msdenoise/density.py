@@ -15,8 +15,12 @@ evaluation runs over cache-sized blocks of query rows: two ``(rows, n)``
 buffers of about ``_BLOCK_FLOATS`` floats each are allocated once per range
 of rows and reused for every block, so memory does not grow with the batch
 size and no ``(rows, n, d)`` temporary is formed.  Each coordinate
-difference is formed by copying the data row into the block and subtracting
-the query column in place.  Each row's weighted sums (of the weights, of the
+difference of a block of at least ``_STREAM_BLOCK`` floats in rows of at
+least ``_STREAM_ROW`` is one subtraction that broadcasts the data row and the
+query column, with numpy's ufunc buffer capped at one row so that the rows
+stream through without being copied into it; a smaller block copies the data
+row into every block row and subtracts the query column in place.  Both
+routes give the same bits.  Each row's weighted sums (of the weights, of the
 weights times a data coordinate, of the weights times a difference) come
 from `np.einsum` in one pass, without storing the products, over fixed
 chunks of at most ``_ROW_CHUNK`` = 8192 columns whose sums are added left
@@ -75,6 +79,19 @@ _BLOCK_FLOATS = 32_768
 # than alone.
 _ROW_CHUNK = 8192
 
+# Shapes from which a column-broadcast ufunc (`_by_column`) streams row by
+# row.  numpy pushes an operation on rows shorter than its 8192-element
+# iterator buffer through that buffer, about 3x slower than a plain pass
+# over the rows; with the buffer capped at one row it does not.  Medians of
+# 15 alternating timings of `_differences` on a 2-core host (numpy 2.4.6),
+# copy plus subtract against streamed: rows under 128 floats stream in
+# pieces too small to pay (655 x 50: 35 -> 40 us; 3276 x 10: 61 -> 189 us),
+# and the two `np.setbufsize` calls cost a few us, more than a small block
+# saves (1 x 1000: 1.7 -> 4.2 us; 32 x 256: 10.4 -> 11.5 us; 8 x 1000:
+# 9.2 -> 5.8 us; 64 x 256: 17.7 -> 14.3 us; 131 x 1000: 110 -> 37 us).
+_STREAM_ROW = 128
+_STREAM_BLOCK = 8192
+
 # Query x data pairs from which a batch is split across the usable CPUs.
 # Below it, a thread hand-off costs more than it saves.
 _SPLIT_PAIRS = 1 << 22
@@ -82,10 +99,11 @@ _SPLIT_PAIRS = 1 << 22
 # Floats per work buffer of a split batch.  Each block costs a fixed number
 # of numpy calls, and a thread that finishes one while the other holds the
 # interpreter lock waits to be woken, so larger blocks split better: on two
-# cores a 1000 x 200k step took 1.8 ns per pair at 131,072 floats against
-# 2.3 at 65,536 and 2.2 at 262,144 (1 MB per buffer fits a 2 MB L2 cache,
-# 2 MB does not).  Smaller batches keep `_BLOCK_FLOATS`, which costs them
-# fewer cache misses and page faults.
+# cores a 1-D 1000 x 200k weighted-mean step took 2.0 ns per pair at 131,072
+# floats against 2.3 at 65,536 and 2.1 at 262,144 (medians of 10 alternating
+# timings; 1 MB per buffer fits a 2 MB L2 cache, 2 MB does not).  Smaller
+# batches keep `_BLOCK_FLOATS`, which costs them fewer cache misses and page
+# faults.
 _SPLIT_BLOCK_FLOATS = 131_072
 
 # Points of the coarse SCV grid over [h_ns / 10, 10 h_ns] and the
@@ -195,12 +213,44 @@ def _as_queries(x, dim: int) -> tuple[np.ndarray, bool]:
     raise ValueError(f"query must be a point or an (m, d) batch, got ndim={arr.ndim}")
 
 
+def _streams(out: np.ndarray) -> bool:
+    """Whether a column broadcast into the 2-D `out` streams faster than it
+    goes through numpy's buffer (`_STREAM_ROW`, `_STREAM_BLOCK`)."""
+    return out.shape[1] >= _STREAM_ROW and out.size >= _STREAM_BLOCK
+
+
+def _by_column(ufunc, a: np.ndarray, col: np.ndarray, out: np.ndarray) -> None:
+    """``ufunc(a, col[:, None], out=out)`` for a 2-D `out`.
+
+    Where `_streams(out)`, numpy's ufunc buffer is capped at one row of
+    `out` (rounded up to the multiple of 16 it requires) for this call and
+    restored after it.  numpy keeps the setting in a context variable, so
+    each thread sets and restores its own.  Every element has the same bits
+    either way.
+    """
+    if not _streams(out):
+        ufunc(a, col[:, None], out=out)
+        return
+    prev = np.setbufsize(-(-out.shape[1] // 16) * 16)
+    try:
+        ufunc(a, col[:, None], out=out)
+    finally:
+        np.setbufsize(prev)
+
+
 def _differences(out: np.ndarray, row: np.ndarray, q: np.ndarray) -> None:
-    """``out[i, k] = row[k] - q[i]``: the data row copied into every block row,
-    then the query column subtracted in place (faster than a subtraction that
-    broadcasts both operands, and the same bits)."""
-    out[...] = row
-    np.subtract(out, q[:, None], out=out)
+    """``out[i, k] = row[k] - q[i]``, with the bits of ``row[k] - q[i]``.
+
+    One broadcast subtraction streamed row by row (`_by_column`) where the
+    block streams; otherwise the data row is copied into every block row and
+    the query column subtracted in place, which is faster than broadcasting
+    both operands through numpy's buffer.
+    """
+    if _streams(out):
+        _by_column(np.subtract, row, q, out)
+    else:
+        out[...] = row
+        np.subtract(out, q[:, None], out=out)
 
 
 def _sq_distances(out: np.ndarray, scratch: np.ndarray, cols: np.ndarray, q: np.ndarray) -> None:

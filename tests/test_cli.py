@@ -225,6 +225,16 @@ def test_cluster_eval_dataset_refuses_case_graph_flags(tmp_path, capsys, flags):
     assert main(argv) == 0
 
 
+@pytest.mark.parametrize("algo", ["kmeans", "hier"])
+@pytest.mark.parametrize("flags", [["--knn", "5"], ["--sigma", "0.01"]])
+def test_cluster_eval_case_refuses_graph_flags_off_spectral(capsys, algo, flags):
+    # only spectral builds an affinity graph, so these would be ignored
+    argv = ["cluster-eval", "--case", "spiral4", "--algo", algo, "--reps", "1", "--no-msd"]
+    assert main(argv + flags) == 2
+    assert "--algo spectral only" in capsys.readouterr().err
+    assert main(argv) == 0
+
+
 @pytest.mark.parametrize("h,code", [("wat", 2), ("-1", 2), ("0.3", 0), ("scv", 0)])
 def test_cluster_eval_no_msd_still_parses_h(tmp_path, h, code):
     got, rep = run_cli(tmp_path, ["cluster-eval", "--case", "spiral4", "--reps", "1",

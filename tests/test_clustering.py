@@ -8,6 +8,7 @@ from msdenoise import clustering
 from msdenoise.clustering import (
     LabelSet,
     _affinity,
+    _assign,
     _auto_sigma,
     _denoised,
     _kmeanspp,
@@ -139,7 +140,30 @@ def kmeans_cases():
     yield "long_d1", rng.normal(size=(20_000, 1)), 3
 
 
+def difference_array_sq_dists(pts, centres):
+    """Squared distances (A, n) from an (A, n, d) difference array summed
+    over its last axis: the formula k-means used before it shared
+    `density._sq_distances`."""
+    diff = pts - centres[:, None, :]
+    return np.square(diff, out=diff).sum(axis=2)
+
+
 class TestKMeans:
+    @pytest.mark.parametrize("n", [300, 1000])
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_assign_matches_difference_array_sums(self, d, n):
+        """For d <= 7 numpy sums the last axis in index order, as
+        `_sq_distances` does, so every distance keeps its bits (10 x 300
+        blocks take the copy route, 10 x 1000 the streamed one)."""
+        rng = np.random.default_rng(d)
+        pts = rng.normal(size=(n, d)) * np.exp(rng.uniform(-5.0, 5.0, size=d)) + 3.0
+        centres = pts[rng.integers(n, size=(clustering._RESTARTS, 4))]
+        centres += rng.normal(size=centres.shape)
+        want = np.stack([difference_array_sq_dists(pts, centres[:, j]) for j in range(4)])
+        labels, own = _assign(pts, centres)
+        assert np.array_equal(labels, want.argmin(axis=0))
+        assert np.array_equal(own, want.min(axis=0))
+
     def test_two_blobs_perfect(self):
         pts, truth = two_blobs()
         assert ari(kmeans(pts, 2, rng_seed=0), truth) == 1.0

@@ -107,6 +107,23 @@ def test_batch_matches_single_queries_exactly():
     assert np.array_equal(gbatch, gsingles)
 
 
+@pytest.mark.parametrize("rows", [1, 5, 20, 131])
+@pytest.mark.parametrize("n", [1, 127, 128, 1000, 8191, 8192, 20000])
+def test_differences_match_broadcast_subtraction(n, rows):
+    """Both routes of `_differences` give the bits of ``row - q``, for a
+    contiguous data row and a strided one (a column of an (n, d) array), and
+    leave numpy's buffer size as they found it."""
+    rng = np.random.default_rng(1000 * n + rows)
+    data = rng.normal(size=(n, 2)) * np.exp(rng.uniform(-20.0, 20.0, size=(n, 2)))
+    q = rng.normal(size=rows) * 1e3
+    before = np.getbufsize()
+    for row in (np.ascontiguousarray(data[:, 0]), data[:, 1]):
+        out = np.full((rows, n), np.nan)
+        density._differences(out, row, q)
+        assert np.array_equal(out, row[None, :] - q[:, None])
+        assert np.getbufsize() == before
+
+
 @pytest.mark.parametrize("n", [1, 1000, 8192, 8193, 12345, 40000])
 def test_row_sums_are_per_row_and_accurate(n):
     """`_row_sums` of a block equals each row's own call and the exact sum."""

@@ -325,6 +325,56 @@ def test_split_batch_zero_density_reports_lowest_global_index(workers, far, inde
         assert exc.value.index == index
 
 
+def test_steps_leave_ufunc_buffer_size_alone(monkeypatch):
+    """The streamed difference route restores numpy's buffer size before
+    each block reaches its reduction, in the calling thread and in every
+    range thread, after a serial step, a split one, and a split one that
+    raises from a non-finite query."""
+    rng = np.random.default_rng(12)
+    n = 1000
+    m = fit(rng.normal(size=(n, 1)), 0.3)
+    batch = rng.normal(size=(40, 1))
+    fresh = []  # the size a new thread starts with
+    t = threading.Thread(target=lambda: fresh.append(np.getbufsize()))
+    t.start()
+    t.join(timeout=10)
+    assert fresh
+    seen = []
+
+    def spy_on(blocks):
+        def spy(cols, h, queries, rows):
+            assert density._streams(np.empty((rows, cols.shape[1])))
+            for block in blocks(cols, h, queries, rows):
+                seen.append((threading.current_thread(), np.getbufsize()))
+                yield block
+        return spy
+
+    def check(step, threads):
+        seen.clear()
+        with np.errstate():
+            np.setbufsize(4096)
+            step()
+            assert np.getbufsize() == 4096
+        me = threading.current_thread()
+        assert len({thread for thread, _ in seen}) == threads
+        assert all(size == (4096 if thread is me else fresh[0]) for thread, size in seen)
+
+    monkeypatch.setattr(density, "_kernel_blocks", spy_on(density._kernel_blocks))
+    check(lambda: empirical_step_weighted_mean(m, batch), 1)
+    check(lambda: gradient_at(m, batch), 1)
+    split_batches(monkeypatch, n, 9, 2)
+    monkeypatch.setattr(density, "_kernel_blocks", spy_on(density._kernel_blocks))
+    check(lambda: empirical_step_weighted_mean(m, batch), 2)
+    batch[30] = np.nan
+
+    def fails():
+        with pytest.raises(ZeroDensityError) as exc:
+            empirical_step_weighted_mean(m, batch)
+        assert exc.value.index == 30
+
+    check(fails, 2)
+
+
 def test_monotone_ascent_property():
     """Weighted-mean steps never decrease the estimated density (1000 random states)."""
     rng = np.random.default_rng(99)
