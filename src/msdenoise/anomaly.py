@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityModel, _as_cloud, fit, select_bandwidth_scv
+from .density import DensityModel, _as_cloud, _frozen, fit, select_bandwidth_scv
 from .shift import ShiftOperator, ShiftTrace, _resolve_tol
 
 
@@ -26,9 +26,9 @@ class AnomalyReport:
     traces: list[ShiftTrace] | None = None
 
     def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
-        ranking = np.asarray(self.ranking, dtype=np.int64)
-        conv = np.asarray(self.converged, dtype=bool)
+        scores = _frozen(self.scores)
+        ranking = _frozen(self.ranking, np.int64)
+        conv = _frozen(self.converged, bool)
         if scores.ndim != 1 or scores.size == 0:
             raise ValueError("scores must be a nonempty vector")
         if scores.min() < 0.0:
@@ -40,7 +40,6 @@ class AnomalyReport:
         if self.traces is not None and len(self.traces) != scores.size:
             raise ValueError("need one trace per point")
         for name, arr in (("scores", scores), ("ranking", ranking), ("converged", conv)):
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     def __len__(self):

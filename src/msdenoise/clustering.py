@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import _as_cloud, _by_column, _sq_distances, fit, select_bandwidth_scv
+from .density import _as_cloud, _by_column, _frozen, _sq_distances, fit, select_bandwidth_scv
 from .shift import ShiftOperator
 from .synthetic import _CASES, _generate_case, _rng
 
@@ -24,8 +24,8 @@ _MAX_LLOYD = 300
 # batch, one leading array index per restart.
 _RESTARTS = 10
 # A Lloyd batch peaks below (d + 8) n 8-byte words per restart by tracemalloc
-# (7.3 n at d = 1 and 2, 9.5 n at d = 5); inputs too large to batch every
-# restart under this many words run their restarts in smaller batches.
+# (7.26 n at d = 1 and 2, 7.27 n at d = 5 and 8; n = 20,000, k = 4).  Inputs
+# too large to batch every restart under this many words batch fewer at once.
 _BATCH_WORDS = 1 << 22
 
 
@@ -37,7 +37,7 @@ class LabelSet:
     k: int
 
     def __post_init__(self):
-        lab = np.ascontiguousarray(self.labels, dtype=np.int64)
+        lab = _frozen(self.labels, np.int64)
         if lab.ndim != 1:
             raise ValueError("labels must be one-dimensional")
         k = int(self.k)
@@ -45,7 +45,6 @@ class LabelSet:
             raise ValueError("k must be at least 1")
         if lab.size and (lab.min() < 0 or lab.max() >= k):
             raise ValueError("labels must lie in 0..k-1")
-        lab.flags.writeable = False
         object.__setattr__(self, "labels", lab)
         object.__setattr__(self, "k", k)
 
@@ -111,9 +110,9 @@ def _move_centres(pts, labels, centres, own):
         for a, j in zip(*np.nonzero(counts)):
             centres[a, j] = pts[labels[a] == j].mean(axis=0)
     else:
-        tiled = np.tile(pts.T, n_sets)
-        sums = np.stack([np.bincount(keys, weights=col, minlength=n_sets * k)
-                         for col in tiled], axis=1).reshape(n_sets, k, d)
+        # one coordinate tiled at a time: A n words, not d A n
+        sums = np.stack([np.bincount(keys, weights=np.tile(col, n_sets), minlength=n_sets * k)
+                         for col in pts.T], axis=1).reshape(n_sets, k, d)
         full = counts > 0
         centres[full] = sums[full] / counts[full][:, None]
     for a, j in zip(*np.nonzero(counts == 0)):
@@ -145,9 +144,8 @@ def _lloyd(pts, centres):
         labels[live] = new
         _move_centres(pts, new, cen, own)
         centres[live] = cen
-    diff = centres[np.arange(n_sets)[:, None], labels]
-    np.subtract(pts, diff, out=diff)
-    wcss = np.square(diff, out=diff).reshape(n_sets, -1).sum(axis=1)
+    # one (n, d) difference at a time, summed flat as a stacked one would be
+    wcss = np.array([np.square(pts - centres[a][labels[a]]).sum() for a in range(n_sets)])
     return labels, wcss, histories
 
 

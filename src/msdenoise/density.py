@@ -122,20 +122,28 @@ _SCV_BINS_PER_PILOT = 300
 _EXP_FLOOR = -700.0
 
 
+def _frozen(values, dtype=float) -> np.ndarray:
+    """A read-only copy of `values` as an array of `dtype`: how every public
+    type stores an array, so none freezes or keeps a caller's own array."""
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Immutable sample of n points in R^d.
 
     Accepts any array-like of shape ``(n, d)``; a 1-D array-like is treated
-    as n points in one dimension.  The stored array is a float64 copy with
-    the writeable flag cleared, so a cloud can be shared freely between
-    models and operators.
+    as n points in one dimension.  The stored array is a read-only float64
+    copy (`_frozen`, the storage rule of every public type), so a cloud can
+    be shared freely between models and operators.
     """
 
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=float, copy=True)
+        pts = _frozen(self.points)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2:
@@ -145,7 +153,6 @@ class PointCloud:
             raise ValueError(f"need at least one point and one coordinate, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite (no NaN or inf)")
-        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     @property
@@ -211,6 +218,15 @@ def _as_queries(x, dim: int) -> tuple[np.ndarray, bool]:
             raise ValueError(f"query dim {arr.shape[1]} does not match model dim {dim}")
         return arr, False
     raise ValueError(f"query must be a point or an (m, d) batch, got ndim={arr.ndim}")
+
+
+def _as_point(x, dim: int) -> np.ndarray:
+    """A single point (`_as_queries`) as a (1, dim) row; a batch raises
+    ValueError naming the dimension."""
+    q, single = _as_queries(x, dim)
+    if not single:
+        raise ValueError(f"need a single point of dimension {dim}, got {q.shape[0]} points")
+    return q
 
 
 def _streams(out: np.ndarray) -> bool:

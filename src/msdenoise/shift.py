@@ -31,7 +31,9 @@ from .density import (
     DensityModel,
     PointCloud,
     _as_cloud,
+    _as_point,
     _as_queries,
+    _frozen,
     _kde_eval,
     _reduce_kernel_blocks,
     _row_sums,
@@ -96,10 +98,9 @@ class AnalyticDensity:
         for name in ("modes", "minima"):
             val = getattr(self, name)
             if val is not None:
-                arr = np.atleast_2d(np.asarray(val, dtype=float))
+                arr = np.atleast_2d(_frozen(val))
                 if arr.shape[1] != self.dim:
                     raise ValueError(f"{name} must be (k, {self.dim}), got {arr.shape}")
-                arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
 
 
@@ -242,11 +243,9 @@ class ShiftTrace:
     converged: bool
 
     def __post_init__(self) -> None:
-        arr = np.atleast_2d(np.asarray(self.path, dtype=float))
+        arr = np.atleast_2d(_frozen(self.path))
         if arr.shape[0] < 1:
             raise ValueError("path must contain at least the start point")
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "path", arr)
         object.__setattr__(self, "converged", bool(self.converged))
 
@@ -292,15 +291,13 @@ def shift_until_converged(op: ShiftOperator, x, tol: Optional[float] = None,
 
     The default tol is 1e-7 times the mean per-coordinate sample spread of
     the model data, so convergence is scale-aware.  Hitting `max_iter`
-    returns a trace with ``converged=False`` rather than raising.
+    returns a trace with ``converged=False`` rather than raising.  A batch
+    of starts is refused; `denoise` steps a batch.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     tol = _resolve_tol(op, tol)
-    q, single = _as_queries(x, op.dim)
-    if not single:
-        raise ValueError("shift_until_converged takes a single point; use denoise for batches")
-    cur = q[0]
+    cur = _as_point(x, op.dim)[0]
     path = [cur]
     converged = False
     for _ in range(max_iter):

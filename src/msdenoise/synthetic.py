@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import PointCloud
+from .density import PointCloud, _frozen
 
 __all__ = [
     "LabeledCloud",
@@ -28,6 +28,11 @@ __all__ = [
     "ANOMALY_BLOB_SD",
     "ANOMALY_OUTLIERS",
 ]
+
+
+# Uniform contamination box of the 1-D mixture: its bulk [mu1 - 3 sd, mu2 + 3 sd].
+_NOISE_LOW = -3.0
+_NOISE_HIGH = 8.0
 
 
 def _rng(*entropy) -> np.random.Generator:
@@ -47,13 +52,12 @@ class LabeledCloud:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=np.int64).copy()
+        labels = _frozen(self.labels, np.int64)
         if labels.ndim != 1 or labels.shape[0] != self.cloud.size:
             raise ValueError("labels must be a 1-D array matching the cloud size")
         uniq = np.unique(labels)
         if not np.array_equal(uniq, np.arange(uniq.size)):
             raise ValueError(f"label set must be contiguous from 0, got {uniq.tolist()}")
-        labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
 
     @property

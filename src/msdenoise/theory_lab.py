@@ -28,14 +28,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .density import DensityModel, _as_cloud, density_at, fit
+from .density import DensityModel, _as_cloud, _as_point, _frozen, density_at, fit
 from .shift import (
     AnalyticDensity,
     ShiftOperator,
     empirical_step_weighted_mean,
     shift_until_converged,
 )
-from .synthetic import _rng, gen_gmm_1d
+from .synthetic import _NOISE_HIGH, _NOISE_LOW, _rng, gen_gmm_1d
 
 __all__ = [
     "LevelSetSpec",
@@ -65,8 +65,8 @@ __all__ = [
 class LevelSetSpec:
     """An upper level set {x : f(x) >= level} with optional 1-D diagnostics.
 
-    `boundary_points` holds the analytic boundary (one row per point for 1-D
-    references) and `gradient_floor` the minimum |f'| over that boundary;
+    `boundary_points` holds the analytic boundary (points as `PointCloud`
+    reads them) and `gradient_floor` the minimum |f'| over that boundary;
     both feed the explicit lower-bound reporting of `mass_increase_curve`.
     """
 
@@ -79,8 +79,7 @@ class LevelSetSpec:
         if not (math.isfinite(self.level) and self.level > 0.0):
             raise ValueError(f"level must be a positive real, got {self.level!r}")
         if self.boundary_points is not None:
-            b = np.atleast_2d(np.asarray(self.boundary_points, dtype=float))
-            b.setflags(write=False)
+            b = _as_cloud(self.boundary_points).points
             object.__setattr__(self, "boundary_points", b)
             # membership must be consistent with f at the boundary itself
             vals = np.asarray(self.density(b), dtype=float)
@@ -88,7 +87,8 @@ class LevelSetSpec:
                 raise ValueError("boundary points are not on the stated level")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        """One membership flag per point (rows, or the entries of a 1-D array)."""
+        pts = _as_cloud(points).points
         return np.asarray(self.density(pts), dtype=float) >= self.level
 
 
@@ -111,16 +111,14 @@ class ScalingReport:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.grid, dtype=float).copy()
-        v = np.asarray(self.values, dtype=float).copy()
+        g = _frozen(self.grid)
+        v = _frozen(self.values)
         if g.ndim != 1 or g.shape != v.shape:
             raise ValueError("grid and values must be matching 1-D arrays")
         if g.shape[0] < 2 or np.any(np.diff(g) <= 0.0):
             raise ValueError("grid must be strictly increasing with at least 2 entries")
         if not math.isfinite(self.slope):
             raise ValueError("fitted slope must be finite")
-        g.setflags(write=False)
-        v.setflags(write=False)
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
 
@@ -152,7 +150,11 @@ def _ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, 2.0 * se
 
 
-def _require_sampler(density: AnalyticDensity) -> Callable:
+def _require_sampler(density: AnalyticDensity, **sizes: int) -> Callable:
+    """The density's sampler, once each Monte Carlo size in `sizes` is >= 1."""
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
     if density.sampler is None:
         raise ValueError("this check draws Monte Carlo samples; the density needs a sampler")
     return density.sampler
@@ -309,11 +311,6 @@ def gmm_level_spec(density: AnalyticDensity) -> LevelSetSpec:
 # level-set mass concentration
 
 
-def _admissible_h_sq(level: float, hess_sup: float, g0: float) -> float:
-    return min(3.0 * math.sqrt(2.0) * level / hess_sup,
-               math.sqrt(2.0) * level * level / (g0 * g0))
-
-
 def mass_increase_curve(density: AnalyticDensity, spec: LevelSetSpec, h_grid: Sequence[float],
                         n_mc: int, rng_seed: int = 0) -> ScalingReport:
     """Mass gained by a level set under one population shift, per step scale.
@@ -333,7 +330,9 @@ def mass_increase_curve(density: AnalyticDensity, spec: LevelSetSpec, h_grid: Se
         raise ValueError(f"n_mc must be >= 2 for a standard error, got {n_mc}")
     if density.hess_sup is None or spec.gradient_floor is None:
         raise ValueError("admissibility guard needs hess_sup and gradient_floor")
-    h2max = _admissible_h_sq(spec.level, density.hess_sup, spec.gradient_floor)
+    level, g0 = spec.level, spec.gradient_floor
+    h2max = min(3.0 * math.sqrt(2.0) * level / density.hess_sup,
+                math.sqrt(2.0) * level * level / (g0 * g0))
     if float(h_grid.max()) ** 2 > h2max:
         raise ValueError(
             f"h={h_grid.max():g} outside the admissible range (h^2 <= {h2max:.4g}); "
@@ -382,37 +381,41 @@ def mass_increase_curve(density: AnalyticDensity, spec: LevelSetSpec, h_grid: Se
 # mode / minimum density ratio
 
 
+# Radius of the ball `mode_density_ratio_curve` counts in.
+_BALL_RADIUS = 0.05
+
+
+def _in_ball(points: np.ndarray, centre: np.ndarray, radius: float) -> np.ndarray:
+    """Whether each row of `points` lies in the closed ball B(centre, radius)."""
+    return ((points - centre) ** 2).sum(axis=1) <= radius * radius
+
+
 def geometric_density_at(sample, x, radius: float) -> float:
     """Ball-count density estimate: points in B(x, radius) over n * ball volume."""
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     cloud = _as_cloud(sample)
-    pts = cloud.points
-    xv = np.asarray(x, dtype=float).reshape(1, -1)
-    if xv.shape[1] != cloud.dim:
-        raise ValueError(f"x dim {xv.shape[1]} does not match sample dim {cloud.dim}")
     d = cloud.dim
-    count = int((((pts - xv) ** 2).sum(axis=1) <= radius * radius).sum())
+    count = int(_in_ball(cloud.points, _as_point(x, d), radius).sum())
     vball = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * radius**d
     return count / (cloud.size * vball)
 
 
 def mode_density_ratio_curve(density: AnalyticDensity, mode, h_grid: Sequence[float],
-                             ball_radius: float, n_mc: int, rng_seed: int = 0,
-                             kind: str = "mode") -> ScalingReport:
+                             n_mc: int, rng_seed: int = 0, kind: str = "mode") -> ScalingReport:
     """Density change at a critical point under one population shift.
 
     Reports ratio - 1 at a mode (expected positive, Theta(h^2)) or 1 - ratio
-    at a local minimum (`kind="minimum"`), estimated by paired ball counts
-    on a common sample.  Wrong-signed gaps beyond 3 MC standard errors are
-    flagged.
+    at a local minimum (`kind="minimum"`), estimated by paired counts in the
+    ball of radius `_BALL_RADIUS` around the point, on a common sample.
+    Wrong-signed gaps beyond 3 MC standard errors are flagged.
     """
     if kind not in ("mode", "minimum"):
         raise ValueError("kind must be 'mode' or 'minimum'")
     h_grid = np.asarray(h_grid, dtype=float)
     if np.any(np.diff(h_grid) <= 0.0) or np.any(h_grid <= 0.0):
         raise ValueError("h_grid must be positive and strictly increasing")
-    m = np.asarray(mode, dtype=float).reshape(1, -1)
+    m = _as_point(mode, density.dim)
     gnorm = float(np.linalg.norm(np.asarray(density.gradient(m), dtype=float)))
     if gnorm >= 1e-8:
         raise ValueError(f"point is not critical: |grad f| = {gnorm:.3g}")
@@ -424,19 +427,19 @@ def mode_density_ratio_curve(density: AnalyticDensity, mode, h_grid: Sequence[fl
             f"h={h_grid.max():g} outside the admissible range "
             f"(h^2 < {fm / density.hess_sup:.4g})"
         )
-    sampler = _require_sampler(density)
+    sampler = _require_sampler(density, n_mc=n_mc)
     rng = _rng(rng_seed)
     x = sampler(rng, int(n_mc))
-    in_before = (((x - m) ** 2).sum(axis=1) <= ball_radius**2).astype(float)
+    in_before = _in_ball(x, m, _BALL_RADIUS).astype(float)
     count_before = float(in_before.sum())
     if count_before == 0:
-        raise ValueError("no sample mass in the reference ball; enlarge radius or n_mc")
+        raise ValueError("no sample mass in the reference ball; enlarge n_mc")
 
     gaps, ses, violations = [], [], []
     for h in h_grid:
         op = ShiftOperator(density, tau=float(h))
         y = op.step(x)
-        in_after = (((y - m) ** 2).sum(axis=1) <= ball_radius**2).astype(float)
+        in_after = _in_ball(y, m, _BALL_RADIUS).astype(float)
         d = in_after - in_before
         ratio = float(in_after.sum() / count_before)
         se = float(math.sqrt(float((d * d).sum())) / count_before)
@@ -454,7 +457,7 @@ def mode_density_ratio_curve(density: AnalyticDensity, mode, h_grid: Sequence[fl
         "violations": violations,
         "kind": kind,
         "critical_point": m[0],
-        "ball_radius": float(ball_radius),
+        "ball_radius": _BALL_RADIUS,
         "density_at_point": fm,
     }
     return ScalingReport(f"{kind}_density_ratio", h_grid, gaps, slope, halfwidth, extras)
@@ -480,7 +483,7 @@ def empirical_population_gap(density: AnalyticDensity, probe_set: LevelSetSpec,
         raise ValueError("n_grid must be strictly increasing with all n >= 100")
     if n_reps < 2:
         raise ValueError(f"n_reps must be >= 2 for a standard error, got {n_reps}")
-    sampler = _require_sampler(density)
+    sampler = _require_sampler(density, n_pop=n_pop)
     means, ses = [], []
     for i, n in enumerate(n_grid):
         gaps = np.empty(n_reps)
@@ -577,8 +580,7 @@ def mixture_tilt_family(mix: float = 0.7, mu1: float = 0.0, mu2: float = 5.0,
 
 def perturbation_response(family: PerturbationFamily, deltas: Sequence[float], tau: float,
                           probe: LevelSetSpec, n_mc: int, rng_seed: int = 0,
-                          situation: str = "density",
-                          contaminant_sampler: Optional[Callable] = None) -> ScalingReport:
+                          situation: str = "density") -> ScalingReport:
     """Linear response of the shifted mass to small perturbations.
 
     Three situations share one harness, each measuring
@@ -587,7 +589,8 @@ def perturbation_response(family: PerturbationFamily, deltas: Sequence[float], t
     - ``density``: perturb f along `family` (grid = exact perturbation size),
     - ``step``: perturb the step scale, tau -> tau + delta (grid = |delta|),
     - ``sampling``: contaminate the sampling distribution with a delta-mixture
-      from `contaminant_sampler` (grid = delta).
+      of uniform draws on the 1-D mixture's contamination box
+      [`_NOISE_LOW`, `_NOISE_HIGH`] (grid = delta).
 
     A common base sample is reused across the grid so the differences are
     paired.
@@ -597,38 +600,29 @@ def perturbation_response(family: PerturbationFamily, deltas: Sequence[float], t
         raise ValueError("deltas must be nonnegative and strictly increasing")
     if situation not in ("density", "step", "sampling"):
         raise ValueError("situation must be one of density, step, sampling")
-    sampler = _require_sampler(family.base)
+    sampler = _require_sampler(family.base, n_mc=n_mc)
     rng = _rng(rng_seed)
     x = sampler(rng, int(n_mc))
     base_op = ShiftOperator(family.base, tau=tau)
     base_mass = float(probe.contains(base_op.step(x)).mean())
 
     values = np.empty(deltas.size)
-    grid = np.empty(deltas.size)
     for i, d in enumerate(deltas):
+        op, xi = base_op, x
         if situation == "density":
             op = ShiftOperator(family.perturbed(float(d)), tau=tau)
-            mass = float(probe.contains(op.step(x)).mean())
-            grid[i] = family.delta1(float(d))
         elif situation == "step":
             op = ShiftOperator(family.base, tau=tau + float(d))
-            mass = float(probe.contains(op.step(x)).mean())
-            grid[i] = float(d)
         else:
-            if contaminant_sampler is None:
-                raise ValueError("situation='sampling' needs a contaminant_sampler")
             pick = _rng(rng_seed, 1, i).random(int(n_mc)) < d
             xi = x.copy()
             n_cont = int(pick.sum())
             if n_cont:
-                xi[pick] = contaminant_sampler(_rng(rng_seed, 2, i), n_cont)
-            mass = float(probe.contains(base_op.step(xi)).mean())
-            grid[i] = float(d)
-        values[i] = abs(mass - base_mass)
+                box = (n_cont, x.shape[1])
+                xi[pick] = _rng(rng_seed, 2, i).uniform(_NOISE_LOW, _NOISE_HIGH, box)
+        values[i] = abs(float(probe.contains(op.step(xi)).mean()) - base_mass)
 
-    if np.any(np.diff(grid) <= 0.0):
-        # a degenerate family (zero perturbation size) cannot index a curve
-        grid = deltas
+    grid = np.array([family.delta1(float(d)) for d in deltas]) if situation == "density" else deltas
     slope, halfwidth, npts = _fit_loglog(grid, values)
     extras = {"situation": situation, "tau": float(tau), "base_mass": base_mass,
               "fit_points": npts, "raw_deltas": deltas, "family": family.name}
@@ -669,7 +663,7 @@ def multi_sweep_mode_growth(density: AnalyticDensity, n_data: int = 1000, h: flo
         raise ValueError("density must declare at least one mode")
     if density.hess_sup is None:
         raise ValueError("admissibility guard needs hess_sup")
-    sampler = _require_sampler(density)
+    sampler = _require_sampler(density, n_data=n_data, n_mc=n_mc)
     ball_radius = 0.5 * h
     rng = _rng(rng_seed)
     data = sampler(rng, int(n_data))
@@ -751,11 +745,10 @@ def run_check(check: str, seed: int) -> dict:
         return {"checks": checks, "report": rep}
     if check == "t2":
         nrm = standard_normal_density()
-        mode = mode_density_ratio_curve(nrm, [0.0], [0.1, 0.2, 0.4], 0.05,
+        mode = mode_density_ratio_curve(nrm, [0.0], [0.1, 0.2, 0.4],
                                         n_mc=200000, rng_seed=seed)
         valley = mode_density_ratio_curve(gmm, gmm.minima[0], [0.1, 0.15, 0.2],
-                                          0.05, n_mc=400000, rng_seed=seed,
-                                          kind="minimum")
+                                          n_mc=400000, rng_seed=seed, kind="minimum")
         checks = {"mode_slope_in_band": 1.6 <= mode.slope <= 2.4,
                   "valley_ratio_below_one": bool(np.all(valley.values > 0.0)),
                   "no_violations": not (mode.violations or valley.violations)}
@@ -783,10 +776,8 @@ def run_check(check: str, seed: int) -> dict:
                                        n_mc=50000, rng_seed=seed)
         step = perturbation_response(scale_fam, deltas, tau=0.3, probe=spec,
                                      n_mc=200000, rng_seed=seed, situation="step")
-        samp = perturbation_response(
-            scale_fam, deltas, tau=0.3, probe=spec, n_mc=200000, rng_seed=seed,
-            situation="sampling",
-            contaminant_sampler=lambda rng, n: rng.uniform(-3.0, 8.0, (n, 1)))
+        samp = perturbation_response(scale_fam, deltas, tau=0.3, probe=spec,
+                                     n_mc=200000, rng_seed=seed, situation="sampling")
         checks = {
             "level_scaling_invariant": bool(np.all(scale0.values == 0.0)),
             "density_slope_in_band": 0.7 <= dens.slope <= 1.3,

@@ -24,14 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import _as_cloud, fit, select_bandwidth_scv
+from .density import _as_cloud, _frozen, fit, select_bandwidth_scv
 from .shift import ShiftOperator
-from .synthetic import _rng, gen_gmm_1d
-
-# uniform contamination support for the noise experiment: covers the mixture
-# bulk [mu1 - 3 sigma, mu2 + 3 sigma]
-_NOISE_LOW = -3.0
-_NOISE_HIGH = 8.0
+from .synthetic import _NOISE_HIGH, _NOISE_LOW, _rng, gen_gmm_1d
 
 
 def _sample_pair(x, y):
@@ -342,15 +337,15 @@ class PowerCurve:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=np.float64)
-        before = np.asarray(self.power_before, dtype=np.float64)
+        grid = _frozen(self.grid)
+        before = _frozen(self.power_before)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "power_before", before)
         if grid.shape != before.shape or grid.ndim != 1:
             raise ValueError("grid and power_before must be 1-D and congruent")
         rates = [before]
         if self.power_after is not None:
-            after = np.asarray(self.power_after, dtype=np.float64)
+            after = _frozen(self.power_after)
             if after.shape != grid.shape:
                 raise ValueError("power_after length mismatch")
             object.__setattr__(self, "power_after", after)

@@ -72,11 +72,10 @@ def test_level_set_mass_gain_scales_quadratically(gmm, gmm_spec):
 def test_mode_ball_gain_and_valley_ball_loss(gmm):
     t0 = time.time()
     nrm = lab.standard_normal_density()
-    mode = lab.mode_density_ratio_curve(nrm, [0.0], [0.1, 0.2, 0.4], 0.05,
+    mode = lab.mode_density_ratio_curve(nrm, [0.0], [0.1, 0.2, 0.4],
                                         n_mc=200000, rng_seed=0)
     valley = lab.mode_density_ratio_curve(gmm, gmm.minima[0], [0.1, 0.15, 0.2],
-                                          0.05, n_mc=400000, rng_seed=0,
-                                          kind="minimum")
+                                          n_mc=400000, rng_seed=0, kind="minimum")
     elapsed = time.time() - t0
     valley_below_one = bool(np.all(valley.values > 0.0))
     ok = (1.6 <= mode.slope <= 2.4 and valley_below_one

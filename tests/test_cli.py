@@ -40,6 +40,19 @@ def test_gen_case_writes_labeled_csv(tmp_path):
     assert set(np.unique(arr[:, 2])) == {0.0, 1.0, 2.0}
 
 
+@pytest.mark.parametrize("case, counts", [("spiral", [250, 250]),
+                                          ("anomaly", [200, 200, 200, 5])])
+def test_gen_named_scene_writes_labeled_csv(tmp_path, case, counts):
+    out = tmp_path / f"{case}.csv"
+    code, report = run_cli(tmp_path, ["gen", "--case", case, "--out", str(out), "--seed", "2"])
+    assert code == 0
+    assert report["rows"] == sum(counts) and report["dim"] == 2
+    assert report["label_counts"] == counts
+    arr, header = _read_csv(str(out))
+    assert header == ["x0", "x1", "label"]
+    assert np.bincount(arr[:, 2].astype(np.int64)).tolist() == counts
+
+
 def test_gen_no_labels(tmp_path):
     out = tmp_path / "plain.csv"
     code, _ = run_cli(tmp_path, ["gen", "--case", "bullseye", "--n0", "50",

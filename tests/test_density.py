@@ -242,6 +242,64 @@ def test_point_cloud_is_immutable():
         pc.points[0, 0] = 5.0
 
 
+def _stored_arrays():
+    """(type name, build) for every public type that stores an array.
+
+    `build()` returns the instance, and the caller's arrays it was given
+    keyed by the name of the field that stores each.
+    """
+    from msdenoise import theory_lab as lab
+    from msdenoise.anomaly import AnomalyReport
+    from msdenoise.clustering import LabelSet
+    from msdenoise.shift import AnalyticDensity, ShiftTrace
+    from msdenoise.synthetic import LabeledCloud
+    from msdenoise.twosample import PowerCurve
+
+    nrm = lab.standard_normal_density()
+    level = float(nrm.density(np.array([[1.0]]))[0])
+
+    def build(make, **given):
+        return make(**given), given
+
+    return [
+        ("PointCloud", lambda: build(PointCloud, points=np.ones((3, 2)))),
+        ("AnalyticDensity", lambda: build(
+            lambda **a: AnalyticDensity(nrm.density, nrm.gradient, 1, **a),
+            modes=np.zeros((1, 1)), minima=np.ones((2, 1)))),
+        ("ShiftTrace", lambda: build(lambda **a: ShiftTrace(converged=True, **a),
+                                     path=np.zeros((3, 2)))),
+        ("LabeledCloud", lambda: build(
+            lambda **a: LabeledCloud(PointCloud(np.zeros((3, 1))), **a),
+            labels=np.array([0, 1, 1], dtype=np.int64))),
+        ("LabelSet", lambda: build(lambda **a: LabelSet(k=2, **a),
+                                   labels=np.array([0, 1, 1], dtype=np.int64))),
+        ("AnomalyReport", lambda: build(
+            AnomalyReport, scores=np.array([0.5, 2.0]),
+            ranking=np.array([1, 0], dtype=np.int64), converged=np.array([True, False]))),
+        ("PowerCurve", lambda: build(
+            lambda **a: PowerCurve(n_reps=4, test="energy", alpha=0.05, **a),
+            grid=np.array([0.0, 1.0]), power_before=np.array([0.0, 0.5]),
+            power_after=np.array([0.25, 1.0]))),
+        ("ScalingReport", lambda: build(
+            lambda **a: lab.ScalingReport("x", slope=1.0, slope_halfwidth=0.1, **a),
+            grid=np.array([1.0, 2.0]), values=np.array([3.0, 4.0]))),
+        ("LevelSetSpec", lambda: build(
+            lambda **a: lab.LevelSetSpec(nrm.density, level, **a),
+            boundary_points=np.array([[-1.0], [1.0]]))),
+    ]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _stored_arrays()])
+def test_public_types_store_read_only_copies(name):
+    obj, given = dict(_stored_arrays())[name]()
+    for field, arr in given.items():
+        stored = getattr(obj, field)
+        assert arr.flags.writeable, f"{name}.{field} froze the caller's array"
+        assert not stored.flags.writeable, f"{name}.{field} is writeable"
+        assert not np.shares_memory(stored, arr), f"{name}.{field} keeps the caller's array"
+        assert np.array_equal(stored.ravel(), arr.ravel())
+
+
 def _point_entry_points():
     """(name, call) for every public function that takes a sample of points."""
     from msdenoise import theory_lab as lab
@@ -268,6 +326,7 @@ def _point_entry_points():
         ("anomaly_scores", lambda x: anomaly_scores(x, model)),
         ("geometric_density_at", lambda x: lab.geometric_density_at(x, [0.0, 0.0], 1.0)),
         ("monotone_ascent_audit", lambda x: lab.monotone_ascent_audit(model, x)),
+        ("LevelSetSpec.contains", lambda x: lab.LevelSetSpec(lambda q: q[:, 0], 1.0).contains(x)),
     ]
 
 
@@ -297,6 +356,16 @@ def test_query_dimension_mismatch():
         density_at(m, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         gradient_at(m, np.zeros((4, 3)))
+
+
+def test_scalar_query_is_one_point_in_1d_only():
+    m1 = fit([[0.0], [1.0], [3.0]], 0.7)
+    assert density._as_queries(0.5, 1)[1] is True
+    assert density_at(m1, 0.5) == density_at(m1, [0.5])
+    assert gradient_at(m1, np.float64(0.5)).tolist() == gradient_at(m1, [0.5]).tolist()
+    m2 = fit(np.zeros((3, 2)), 1.0)
+    with pytest.raises(ValueError, match="scalar query only valid for 1-D models"):
+        density_at(m2, 0.5)
 
 
 def test_normal_scale_closed_form():

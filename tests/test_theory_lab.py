@@ -156,6 +156,14 @@ def test_level_set_mass_extreme_levels():
     assert lab.LevelSetSpec(nrm.density, 1.0).contains(x).mean() == 0.0
 
 
+def test_level_set_spec_reads_a_1d_array_as_points():
+    nrm = lab.standard_normal_density()
+    level = float(nrm.density(np.array([[1.0]]))[0])
+    spec = lab.LevelSetSpec(nrm.density, level, boundary_points=np.array([-1.0, 1.0]))
+    assert spec.boundary_points.shape == (2, 1)
+    assert spec.contains(np.array([-2.0, 0.0, 0.5, 2.0])).tolist() == [False, True, True, False]
+
+
 def test_level_set_spec_validation():
     nrm = lab.standard_normal_density()
     with pytest.raises(ValueError):
@@ -196,6 +204,19 @@ def test_geometric_density_counting_identity():
     assert lab.geometric_density_at(pts, [1e6, 1e6], 0.1) == 0.0
 
 
+def test_geometric_density_takes_one_point():
+    x1 = np.random.default_rng(2).normal(size=(50, 1))
+    # a scalar is one point in 1-D
+    assert lab.geometric_density_at(x1, 0.0, 0.5) == lab.geometric_density_at(x1, [0.0], 0.5)
+    with pytest.raises(ValueError, match="single point of dimension 1, got 2 points"):
+        lab.geometric_density_at(x1, [0.0, 1.0], 0.5)
+    x2 = np.random.default_rng(2).normal(size=(50, 2))
+    with pytest.raises(ValueError, match="single point of dimension 2, got 2 points"):
+        lab.geometric_density_at(x2, [[0.0, 0.0], [1.0, 1.0]], 0.5)
+    with pytest.raises(ValueError, match="scalar query only valid for 1-D models"):
+        lab.geometric_density_at(x2, 0.0, 0.5)
+
+
 def test_geometric_density_normal_oracle():
     nrm = lab.standard_normal_density()
     x = nrm.sampler(np.random.default_rng(8), 400000)
@@ -205,7 +226,7 @@ def test_geometric_density_normal_oracle():
 
 def test_mode_ratio_curve_normal():
     nrm = lab.standard_normal_density()
-    rep = lab.mode_density_ratio_curve(nrm, [0.0], [0.1, 0.2, 0.4], ball_radius=0.05,
+    rep = lab.mode_density_ratio_curve(nrm, [0.0], [0.1, 0.2, 0.4],
                                        n_mc=200000, rng_seed=5)
     assert rep.violations == []
     assert 1.6 <= rep.slope <= 2.4
@@ -216,7 +237,7 @@ def test_mode_ratio_curve_normal():
 
 def test_minimum_ratio_curve_gmm_valley(gmm):
     valley = gmm.minima[0]
-    rep = lab.mode_density_ratio_curve(gmm, valley, [0.1, 0.15, 0.2], ball_radius=0.05,
+    rep = lab.mode_density_ratio_curve(gmm, valley, [0.1, 0.15, 0.2],
                                        n_mc=400000, rng_seed=5, kind="minimum")
     assert rep.violations == []
     assert np.all(rep.values > 0.0)  # density at the valley drops: ratio < 1
@@ -224,12 +245,18 @@ def test_minimum_ratio_curve_gmm_valley(gmm):
 
 def test_mode_ratio_validation(gmm):
     with pytest.raises(ValueError):
-        lab.mode_density_ratio_curve(gmm, [1.0], [0.1, 0.2], 0.05, 1000)  # not critical
+        lab.mode_density_ratio_curve(gmm, [1.0], [0.1, 0.2], 1000)  # not critical
     with pytest.raises(ValueError):
-        lab.mode_density_ratio_curve(gmm, gmm.minima[0], [0.1, 0.4], 0.05, 1000,
+        lab.mode_density_ratio_curve(gmm, gmm.minima[0], [0.1, 0.4], 1000,
                                      kind="minimum")  # h=0.4 inadmissible at the valley
     with pytest.raises(ValueError):
-        lab.mode_density_ratio_curve(gmm, gmm.modes[0], [0.1], 0.05, 1000, kind="ridge")
+        lab.mode_density_ratio_curve(gmm, gmm.modes[0], [0.1], 1000, kind="ridge")
+
+
+def test_mode_ratio_refuses_a_point_of_another_dimension():
+    nrm = dataclasses.replace(lab.standard_normal_density(), sampler=_refusing_sampler)
+    with pytest.raises(ValueError, match="single point of dimension 1, got 2 points"):
+        lab.mode_density_ratio_curve(nrm, [0.0, 0.0], [0.1, 0.2, 0.4], n_mc=1000)
 
 
 def test_empirical_population_gap_trend(gmm, gmm_spec):
@@ -265,6 +292,39 @@ def test_mass_increase_curve_requires_two_samples(gmm, gmm_spec, n_mc):
     unsampled = dataclasses.replace(gmm, sampler=_refusing_sampler)
     with pytest.raises(ValueError, match="n_mc must be >= 2"):
         lab.mass_increase_curve(unsampled, gmm_spec, [0.1, 0.2], n_mc=n_mc)
+
+
+def _lab_calls_with_a_size_below_one(gmm, gmm_spec):
+    """{"<function>-<size named in the error>": call} for each Monte Carlo
+    size of the lab."""
+    unsampled = dataclasses.replace(gmm, sampler=_refusing_sampler)
+    normal = dataclasses.replace(lab.standard_normal_density(), sampler=_refusing_sampler)
+    family = dataclasses.replace(lab.level_scale_family(gmm), base=unsampled)
+    return {
+        "empirical_population_gap-n_pop": lambda: lab.empirical_population_gap(
+            unsampled, gmm_spec, [200, 400], h=0.3, n_reps=2, n_pop=0),
+        "perturbation_response-n_mc": lambda: lab.perturbation_response(
+            family, [0.1, 0.2], tau=0.3, probe=gmm_spec, n_mc=0),
+        "mode_density_ratio_curve_valley-n_mc": lambda: lab.mode_density_ratio_curve(
+            unsampled, gmm.minima[0], [0.1, 0.15], n_mc=0, kind="minimum"),
+        "mode_density_ratio_curve_normal-n_mc": lambda: lab.mode_density_ratio_curve(
+            normal, [0.0], [0.1, 0.2], n_mc=0),
+        "multi_sweep_mode_growth-n_mc": lambda: lab.multi_sweep_mode_growth(
+            unsampled, n_data=200, n_mc=0),
+        "multi_sweep_mode_growth-n_data": lambda: lab.multi_sweep_mode_growth(
+            unsampled, n_data=0, n_mc=1000),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "empirical_population_gap-n_pop", "perturbation_response-n_mc",
+    "mode_density_ratio_curve_valley-n_mc", "mode_density_ratio_curve_normal-n_mc",
+    "multi_sweep_mode_growth-n_mc", "multi_sweep_mode_growth-n_data",
+])
+def test_lab_sizes_are_refused_before_the_first_draw(gmm, gmm_spec, case):
+    call = _lab_calls_with_a_size_below_one(gmm, gmm_spec)[case]
+    with pytest.raises(ValueError, match=f"{case.split('-')[1]} must be >= 1, got 0"):
+        call()
 
 
 @pytest.mark.parametrize("check", ["t1", "t2", "t4", "t6"])
@@ -310,14 +370,9 @@ def test_perturbation_step_scale_halving(gmm, gmm_spec):
 
 def test_perturbation_sampling_contamination(gmm, gmm_spec):
     fam = lab.level_scale_family(gmm)
-    cont = lambda rng, n: rng.uniform(-3.0, 8.0, (n, 1))
     rep = lab.perturbation_response(fam, [0.02, 0.04, 0.08, 0.16], tau=0.3, probe=gmm_spec,
-                                    n_mc=200000, rng_seed=3, situation="sampling",
-                                    contaminant_sampler=cont)
+                                    n_mc=200000, rng_seed=3, situation="sampling")
     assert 0.8 <= rep.slope <= 1.2
-    with pytest.raises(ValueError):
-        lab.perturbation_response(fam, [0.1, 0.2], tau=0.3, probe=gmm_spec, n_mc=100,
-                                  situation="sampling")
 
 
 def test_monotone_ascent_audit_zero_violations():
