@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .density import DensityModel, _as_cloud, _as_point, _frozen, density_at, fit
+from .density import DensityModel, _as_cloud, _as_point, _as_queries, _frozen, density_at, fit
 from .shift import (
     AnalyticDensity,
     ShiftOperator,
@@ -94,13 +94,14 @@ class LevelSetSpec:
 
 @dataclass(frozen=True)
 class ScalingReport:
-    """A measured quantity over a strictly increasing parameter grid.
+    """A measured quantity over a finite, nonnegative, strictly increasing grid.
 
     `slope` is the ordinary-least-squares slope of log(value) against
     log(grid) (or against the raw grid for the sweep-growth check, noted in
     `extras['fit']`), with a confidence half-width of two residual standard
     errors.  `extras` carries per-check diagnostics: Monte Carlo standard
-    errors, violation flags, explicit bound comparisons.
+    errors, violation flags, explicit bound comparisons.  The report keeps its
+    own copy of `extras`, each array in it a read-only copy of the same dtype.
     """
 
     name: str
@@ -111,16 +112,17 @@ class ScalingReport:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        g = _frozen(self.grid)
+        g = _frozen(_grid(self.grid, "grid", nonnegative=True))
         v = _frozen(self.values)
-        if g.ndim != 1 or g.shape != v.shape:
+        if g.shape != v.shape:
             raise ValueError("grid and values must be matching 1-D arrays")
-        if g.shape[0] < 2 or np.any(np.diff(g) <= 0.0):
-            raise ValueError("grid must be strictly increasing with at least 2 entries")
         if not math.isfinite(self.slope):
             raise ValueError("fitted slope must be finite")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "extras", {
+            k: _frozen(e, e.dtype) if isinstance(e, np.ndarray) else e
+            for k, e in self.extras.items()})
 
     @property
     def violations(self) -> list:
@@ -133,9 +135,7 @@ def _fit_loglog(grid: np.ndarray, values: np.ndarray) -> tuple[float, float, int
     k = int(mask.sum())
     if k < 2:
         return 0.0, math.inf, k
-    x = np.log(grid[mask])
-    y = np.log(values[mask])
-    return _ols_slope(x, y) + (k,)
+    return _ols_slope(np.log(grid[mask]), np.log(values[mask])) + (k,)
 
 
 def _ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -150,6 +150,33 @@ def _ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, 2.0 * se
 
 
+def _fitted(name: str, grid: np.ndarray, values: np.ndarray, extras: dict,
+            ses: Optional[np.ndarray] = None, flag: str = "", label: str = "") -> ScalingReport:
+    """The log-log fit of `values` over `grid`, as a ScalingReport.
+
+    With `ses`, each value below -3 of its standard errors is flagged in
+    ``extras['violations']`` as "<flag> at h=...: <label>=..., se=...".
+    """
+    if ses is not None:
+        extras["violations"] = [f"{flag} at h={h:g}: {label}={v:.3g}, se={se:.3g}"
+                                for h, v, se in zip(grid, values, ses) if v < -3.0 * se]
+    slope, halfwidth, _ = _fit_loglog(grid, values)
+    return ScalingReport(name, grid, values, slope, halfwidth, extras)
+
+
+def _grid(values: Sequence[float], name: str, nonnegative: bool = False) -> np.ndarray:
+    """`values` as a float array, once it is a finite, strictly increasing
+    grid of at least 2 entries, all positive (or all nonnegative)."""
+    g = np.asarray(values, dtype=float)
+    low = g >= 0.0 if nonnegative else g > 0.0
+    # the finiteness test comes first, so np.diff never subtracts infinities
+    if g.ndim != 1 or g.size < 2 or not np.all(np.isfinite(g) & low) or np.any(np.diff(g) <= 0.0):
+        sign = "nonnegative" if nonnegative else "positive"
+        raise ValueError(f"{name} must be a finite, {sign}, strictly increasing grid "
+                         f"of at least 2 entries, got {g.tolist()}")
+    return g
+
+
 def _require_sampler(density: AnalyticDensity, **sizes: int) -> Callable:
     """The density's sampler, once each Monte Carlo size in `sizes` is >= 1."""
     for name, size in sizes.items():
@@ -160,8 +187,27 @@ def _require_sampler(density: AnalyticDensity, **sizes: int) -> Callable:
     return density.sampler
 
 
+def _common_sample(density: AnalyticDensity, n_mc: int, rng_seed: int) -> np.ndarray:
+    """The one sample of `n_mc` draws a paired curve reuses at every grid value."""
+    return _require_sampler(density, n_mc=n_mc)(_rng(rng_seed), int(n_mc))
+
+
+def _shifted_membership(density: AnalyticDensity, h_grid: np.ndarray, x: np.ndarray,
+                        member: Callable[[np.ndarray], np.ndarray]):
+    """Membership of the common sample `x` as floats, and a lazy sequence of
+    (membership after one population shift, change) pairs, one per h in `h_grid`."""
+    before = member(x).astype(float)
+    after = (member(ShiftOperator(density, tau=float(h)).step(x)).astype(float) for h in h_grid)
+    return before, ((a, a - before) for a in after)
+
+
 # ---------------------------------------------------------------------------
 # reference densities
+
+
+def _points_1d(q) -> np.ndarray:
+    """The points of the 1-D query `q` as a flat array (`_as_queries`: a 1-D array is n points)."""
+    return _as_queries(q, 1)[0][:, 0]
 
 
 def standard_normal_density() -> AnalyticDensity:
@@ -169,11 +215,11 @@ def standard_normal_density() -> AnalyticDensity:
     amp = (2.0 * math.pi) ** -0.5
 
     def dens(q):
-        x = np.atleast_2d(q)[:, 0]
+        x = _points_1d(q)
         return amp * np.exp(-0.5 * x * x)
 
     def grad(q):
-        x = np.atleast_2d(q)[:, 0]
+        x = _points_1d(q)
         return (-x * amp * np.exp(-0.5 * x * x))[:, None]
 
     def sampler(rng, n):
@@ -233,23 +279,19 @@ def gmm_density(mix: float = 0.7, mu1: float = 0.0, mu2: float = 5.0,
     s = np.array([s1, s2])
 
     def pdf_scalar(x):
-        x = np.asarray(x, dtype=float)
         return w[0] * _phi(x, mu[0], s[0]) + w[1] * _phi(x, mu[1], s[1])
 
     def dpdf_scalar(x):
-        x = np.asarray(x, dtype=float)
         return (-w[0] * (x - mu[0]) / s[0] ** 2 * _phi(x, mu[0], s[0])
                 - w[1] * (x - mu[1]) / s[1] ** 2 * _phi(x, mu[1], s[1]))
 
     def d2pdf_scalar(x):
-        x = np.asarray(x, dtype=float)
         t1 = w[0] * _phi(x, mu[0], s[0]) * (((x - mu[0]) / s[0] ** 2) ** 2 - 1.0 / s[0] ** 2)
         t2 = w[1] * _phi(x, mu[1], s[1]) * (((x - mu[1]) / s[1] ** 2) ** 2 - 1.0 / s[1] ** 2)
         return t1 + t2
 
     def d3pdf_scalar(x):
         # for z = (x - mu) / s the third derivative of phi(z) is (3z - z^3) phi(z)
-        x = np.asarray(x, dtype=float)
         z1 = (x - mu[0]) / s[0]
         z2 = (x - mu[1]) / s[1]
         return (w[0] * _phi(x, mu[0], s[0]) * (3.0 * z1 - z1 ** 3) / s[0] ** 3
@@ -270,10 +312,10 @@ def gmm_density(mix: float = 0.7, mu1: float = 0.0, mu2: float = 5.0,
     hess_sup = float(np.abs(d2pdf_scalar(peaks)).max(initial=curv[k]))
 
     def dens(q):
-        return pdf_scalar(np.atleast_2d(q)[:, 0])
+        return pdf_scalar(_points_1d(q))
 
     def grad(q):
-        return dpdf_scalar(np.atleast_2d(q)[:, 0])[:, None]
+        return dpdf_scalar(_points_1d(q))[:, None]
 
     def sampler(rng, n):
         return gen_gmm_1d(n, mix, mu1, mu2, s1, s2, rng_seed=rng).points
@@ -323,9 +365,7 @@ def mass_increase_curve(density: AnalyticDensity, spec: LevelSetSpec, h_grid: Se
     boundary point count) and the more aggressive ``bound_over_level`` which
     divides by the level; each gets an `_ok` flag.
     """
-    h_grid = np.asarray(h_grid, dtype=float)
-    if np.any(np.diff(h_grid) <= 0.0) or np.any(h_grid <= 0.0):
-        raise ValueError("h_grid must be positive and strictly increasing")
+    h_grid = _grid(h_grid, "h_grid")
     if n_mc < 2:
         raise ValueError(f"n_mc must be >= 2 for a standard error, got {n_mc}")
     if density.hess_sup is None or spec.gradient_floor is None:
@@ -334,47 +374,26 @@ def mass_increase_curve(density: AnalyticDensity, spec: LevelSetSpec, h_grid: Se
     h2max = min(3.0 * math.sqrt(2.0) * level / density.hess_sup,
                 math.sqrt(2.0) * level * level / (g0 * g0))
     if float(h_grid.max()) ** 2 > h2max:
-        raise ValueError(
-            f"h={h_grid.max():g} outside the admissible range (h^2 <= {h2max:.4g}); "
-            "shrink the grid or raise the level"
-        )
-    sampler = _require_sampler(density)
-    rng = _rng(rng_seed)
-    x = sampler(rng, int(n_mc))
-    inside_before = spec.contains(x).astype(float)
-
-    deltas, ses, violations = [], [], []
+        raise ValueError(f"h={h_grid.max():g} outside the admissible range "
+                         f"(h^2 <= {h2max:.4g}); shrink the grid or raise the level")
+    x = _common_sample(density, n_mc, rng_seed)
+    inside_before, shifted = _shifted_membership(density, h_grid, x, spec.contains)
+    deltas, ses = [], []
+    for _, d in shifted:
+        deltas.append(float(d.mean()))
+        ses.append(float(d.std(ddof=1) / math.sqrt(d.size)))
+    deltas, ses = np.array(deltas), np.array(ses)
     n_boundary = 0 if spec.boundary_points is None else spec.boundary_points.shape[0]
-    bound_plain, bound_over_level = [], []
-    for h in h_grid:
-        op = ShiftOperator(density, tau=float(h))
-        inside_after = spec.contains(op.step(x)).astype(float)
-        d = inside_after - inside_before
-        delta = float(d.mean())
-        se = float(d.std(ddof=1) / math.sqrt(d.size))
-        deltas.append(delta)
-        ses.append(se)
-        if delta < -3.0 * se:
-            violations.append(f"mass decreased at h={h:g}: delta={delta:.3g}, se={se:.3g}")
-        base = h * h * spec.gradient_floor * n_boundary / (6.0 * math.sqrt(2.0))
-        bound_plain.append(base)
-        bound_over_level.append(base / spec.level)
-
-    deltas = np.array(deltas)
-    ses = np.array(ses)
-    slope, halfwidth, _ = _fit_loglog(h_grid, deltas)
-    extras = {
-        "delta_se": ses,
-        "violations": violations,
-        "mc_ok": bool(np.all(ses < np.maximum(np.abs(deltas), 1e-300) / 5.0)),
-        "base_mass": float(inside_before.mean()),
-        "bound_plain": np.array(bound_plain),
-        "bound_plain_ok": bool(np.all(deltas + 3.0 * ses >= np.array(bound_plain))),
-        "bound_over_level": np.array(bound_over_level),
-        "bound_over_level_ok": bool(np.all(deltas + 3.0 * ses >= np.array(bound_over_level))),
-        "admissible_h_max": math.sqrt(h2max),
-    }
-    return ScalingReport("level_set_mass_increase", h_grid, deltas, slope, halfwidth, extras)
+    bound_plain = h_grid * h_grid * g0 * n_boundary / (6.0 * math.sqrt(2.0))
+    bound_over_level = bound_plain / level
+    extras = {"delta_se": ses, "base_mass": float(inside_before.mean()),
+              "mc_ok": bool(np.all(ses < np.maximum(np.abs(deltas), 1e-300) / 5.0)),
+              "bound_plain": bound_plain, "bound_over_level": bound_over_level,
+              "bound_plain_ok": bool(np.all(deltas + 3.0 * ses >= bound_plain)),
+              "bound_over_level_ok": bool(np.all(deltas + 3.0 * ses >= bound_over_level)),
+              "admissible_h_max": math.sqrt(h2max)}
+    return _fitted("level_set_mass_increase", h_grid, deltas, extras,
+                   ses, "mass decreased", "delta")
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +411,8 @@ def _in_ball(points: np.ndarray, centre: np.ndarray, radius: float) -> np.ndarra
 
 def geometric_density_at(sample, x, radius: float) -> float:
     """Ball-count density estimate: points in B(x, radius) over n * ball volume."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
     cloud = _as_cloud(sample)
     d = cloud.dim
     count = int(_in_ball(cloud.points, _as_point(x, d), radius).sum())
@@ -412,9 +431,7 @@ def mode_density_ratio_curve(density: AnalyticDensity, mode, h_grid: Sequence[fl
     """
     if kind not in ("mode", "minimum"):
         raise ValueError("kind must be 'mode' or 'minimum'")
-    h_grid = np.asarray(h_grid, dtype=float)
-    if np.any(np.diff(h_grid) <= 0.0) or np.any(h_grid <= 0.0):
-        raise ValueError("h_grid must be positive and strictly increasing")
+    h_grid = _grid(h_grid, "h_grid")
     m = _as_point(mode, density.dim)
     gnorm = float(np.linalg.norm(np.asarray(density.gradient(m), dtype=float)))
     if gnorm >= 1e-8:
@@ -423,44 +440,24 @@ def mode_density_ratio_curve(density: AnalyticDensity, mode, h_grid: Sequence[fl
     if density.hess_sup is None:
         raise ValueError("admissibility guard needs hess_sup")
     if float(h_grid.max()) ** 2 >= fm / density.hess_sup:
-        raise ValueError(
-            f"h={h_grid.max():g} outside the admissible range "
-            f"(h^2 < {fm / density.hess_sup:.4g})"
-        )
-    sampler = _require_sampler(density, n_mc=n_mc)
-    rng = _rng(rng_seed)
-    x = sampler(rng, int(n_mc))
-    in_before = _in_ball(x, m, _BALL_RADIUS).astype(float)
+        raise ValueError(f"h={h_grid.max():g} outside the admissible range "
+                         f"(h^2 < {fm / density.hess_sup:.4g})")
+    x = _common_sample(density, n_mc, rng_seed)
+    in_before, shifted = _shifted_membership(
+        density, h_grid, x, lambda p: _in_ball(p, m, _BALL_RADIUS))
     count_before = float(in_before.sum())
     if count_before == 0:
         raise ValueError("no sample mass in the reference ball; enlarge n_mc")
-
-    gaps, ses, violations = [], [], []
-    for h in h_grid:
-        op = ShiftOperator(density, tau=float(h))
-        y = op.step(x)
-        in_after = _in_ball(y, m, _BALL_RADIUS).astype(float)
-        d = in_after - in_before
-        ratio = float(in_after.sum() / count_before)
-        se = float(math.sqrt(float((d * d).sum())) / count_before)
-        gap = ratio - 1.0 if kind == "mode" else 1.0 - ratio
-        gaps.append(gap)
-        ses.append(se)
-        if gap < -3.0 * se:
-            side = "ratio <= 1 at mode" if kind == "mode" else "ratio >= 1 at minimum"
-            violations.append(f"{side} at h={h:g}: gap={gap:.3g}, se={se:.3g}")
-
-    gaps = np.array(gaps)
-    slope, halfwidth, _ = _fit_loglog(h_grid, gaps)
-    extras = {
-        "gap_se": np.array(ses),
-        "violations": violations,
-        "kind": kind,
-        "critical_point": m[0],
-        "ball_radius": _BALL_RADIUS,
-        "density_at_point": fm,
-    }
-    return ScalingReport(f"{kind}_density_ratio", h_grid, gaps, slope, halfwidth, extras)
+    gaps, ses = [], []
+    for after, d in shifted:
+        ratio = float(after.sum() / count_before)
+        gaps.append(ratio - 1.0 if kind == "mode" else 1.0 - ratio)
+        ses.append(float(math.sqrt(float((d * d).sum())) / count_before))
+    ses = np.array(ses)
+    extras = {"gap_se": ses, "kind": kind, "critical_point": m[0],
+              "ball_radius": _BALL_RADIUS, "density_at_point": fm}
+    side = "ratio <= 1 at mode" if kind == "mode" else "ratio >= 1 at minimum"
+    return _fitted(f"{kind}_density_ratio", h_grid, np.array(gaps), extras, ses, side, "gap")
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +495,9 @@ def empirical_population_gap(density: AnalyticDensity, probe_set: LevelSetSpec,
         means.append(float(gaps.mean()))
         ses.append(float(gaps.std(ddof=1) / math.sqrt(n_reps)))
     values = np.array(means)
-    slope, halfwidth, _ = _fit_loglog(n_grid.astype(float), values)
     extras = {"gap_se": np.array(ses), "h": float(h), "n_pop": int(n_pop),
               "n_reps": int(n_reps), "trend_decreasing": bool(np.all(np.diff(values) < 0.0))}
-    return ScalingReport("empirical_population_gap", n_grid.astype(float), values,
-                         slope, halfwidth, extras)
+    return _fitted("empirical_population_gap", n_grid.astype(float), values, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -595,14 +590,10 @@ def perturbation_response(family: PerturbationFamily, deltas: Sequence[float], t
     A common base sample is reused across the grid so the differences are
     paired.
     """
-    deltas = np.asarray(deltas, dtype=float)
-    if np.any(np.diff(deltas) <= 0.0) or np.any(deltas < 0.0):
-        raise ValueError("deltas must be nonnegative and strictly increasing")
+    deltas = _grid(deltas, "deltas", nonnegative=True)
     if situation not in ("density", "step", "sampling"):
         raise ValueError("situation must be one of density, step, sampling")
-    sampler = _require_sampler(family.base, n_mc=n_mc)
-    rng = _rng(rng_seed)
-    x = sampler(rng, int(n_mc))
+    x = _common_sample(family.base, n_mc, rng_seed)
     base_op = ShiftOperator(family.base, tau=tau)
     base_mass = float(probe.contains(base_op.step(x)).mean())
 

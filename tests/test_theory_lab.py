@@ -217,6 +217,13 @@ def test_geometric_density_takes_one_point():
         lab.geometric_density_at(x2, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0])
+def test_geometric_density_refuses_a_radius_that_is_not_positive_and_finite(radius):
+    x1 = np.random.default_rng(2).normal(size=(50, 1))
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        lab.geometric_density_at(x1, [0.0], radius)
+
+
 def test_geometric_density_normal_oracle():
     nrm = lab.standard_normal_density()
     x = nrm.sampler(np.random.default_rng(8), 400000)
@@ -327,6 +334,47 @@ def test_lab_sizes_are_refused_before_the_first_draw(gmm, gmm_spec, case):
         call()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("case", ["mass_increase_curve", "mode_density_ratio_curve",
+                                  "perturbation_response"])
+def test_grids_with_a_non_finite_entry_are_refused_before_the_first_draw(gmm, gmm_spec,
+                                                                         case, bad):
+    # a NaN compares false with every bound, so only a finiteness test stops
+    # it before the admissibility guard, or before it reads as a zero response
+    unsampled = dataclasses.replace(gmm, sampler=_refusing_sampler)
+    family = dataclasses.replace(lab.level_scale_family(gmm), base=unsampled)
+    calls = {
+        "mass_increase_curve": ("h_grid", lambda: lab.mass_increase_curve(
+            unsampled, gmm_spec, [0.1, bad], n_mc=1000)),
+        "mode_density_ratio_curve": ("h_grid", lambda: lab.mode_density_ratio_curve(
+            unsampled, gmm.modes[0], [0.05, bad], n_mc=1000)),
+        "perturbation_response": ("deltas", lambda: lab.perturbation_response(
+            family, [0.02, bad], tau=0.3, probe=gmm_spec, n_mc=20000, situation="sampling")),
+    }
+    name, call = calls[case]
+    with pytest.raises(ValueError, match=f"{name} must be a finite"):
+        call()
+
+
+@pytest.mark.parametrize("grid", [[0.1], [0.2, 0.1], [0.0, 0.1], [[0.1, 0.2]]])
+def test_step_grids_must_be_positive_and_strictly_increasing(gmm, gmm_spec, grid):
+    unsampled = dataclasses.replace(gmm, sampler=_refusing_sampler)
+    with pytest.raises(ValueError, match="h_grid must be a finite, positive"):
+        lab.mass_increase_curve(unsampled, gmm_spec, grid, n_mc=1000)
+
+
+def test_perturbation_deltas_may_start_at_zero_but_not_below(gmm, gmm_spec):
+    family = dataclasses.replace(lab.level_scale_family(gmm),
+                                 base=dataclasses.replace(gmm, sampler=_refusing_sampler))
+    with pytest.raises(ValueError, match="deltas must be a finite, nonnegative"):
+        lab.perturbation_response(family, [-0.01, 0.02], tau=0.3, probe=gmm_spec, n_mc=100)
+
+
+def test_run_check_refuses_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown check 't3'"):
+        lab.run_check("t3", 0)
+
+
 @pytest.mark.parametrize("check", ["t1", "t2", "t4", "t6"])
 def test_run_check_passes_every_band(check):
     # t5 runs in the benchmark and ascent through the CLI tests
@@ -413,11 +461,36 @@ def test_multi_sweep_mode_growth_requires_hess_sup(gmm):
         lab.multi_sweep_mode_growth(unbounded, n_data=200, n_mc=1000)
 
 
+def test_scaling_report_stores_read_only_copies_of_extras_arrays():
+    arr = np.arange(3)
+    extras = {"arr": arr, "tag": "t"}
+    rep = lab.ScalingReport("x", [1.0, 2.0], [3.0, 4.0], 0.5, 0.1, extras)
+    arr[0] = 7
+    extras["tag"] = "changed"
+    stored = rep.extras["arr"]
+    assert stored.tolist() == [0, 1, 2] and stored.dtype == arr.dtype
+    assert not stored.flags.writeable
+    assert rep.extras["tag"] == "t"
+
+
+def test_perturbation_response_keeps_no_caller_array(gmm, gmm_spec):
+    deltas = np.array([0.02, 0.04])
+    rep = lab.perturbation_response(lab.level_scale_family(gmm), deltas, tau=0.3,
+                                    probe=gmm_spec, n_mc=2000)
+    assert rep.extras["raw_deltas"] is not deltas
+    assert not rep.extras["raw_deltas"].flags.writeable
+    assert rep.extras["raw_deltas"].tolist() == [0.02, 0.04]
+
+
 def test_scaling_report_invariants():
     with pytest.raises(ValueError):
         lab.ScalingReport("x", [1.0, 1.0], [1.0, 2.0], 0.5, 0.1)
     with pytest.raises(ValueError):
         lab.ScalingReport("x", [1.0, 2.0], [1.0, 2.0], math.nan, 0.1)
+    # the grid follows the lab's one grid rule: finite and nonnegative too
+    for grid in ([1.0, math.nan], [-1.0, 2.0]):
+        with pytest.raises(ValueError, match="grid must be a finite, nonnegative"):
+            lab.ScalingReport("x", grid, [1.0, 2.0], 0.5, 0.1)
     rep = lab.ScalingReport("x", [1.0, 2.0], [3.0, 4.0], 0.5, 0.1)
     assert not rep.grid.flags.writeable and not rep.values.flags.writeable
 
@@ -432,3 +505,17 @@ def test_reference_densities_are_normalized():
         step = 1e-6
         fd = (dens.density(mid + step) - dens.density(mid - step)) / (2.0 * step)
         assert np.allclose(dens.gradient(mid)[:, 0], fd, rtol=1e-6, atol=1e-12)
+
+
+@pytest.mark.parametrize("make", [lab.standard_normal_density, lab.gmm_density])
+def test_reference_densities_read_a_1d_array_as_points(make):
+    dens = make()
+    x = np.array([-1.0, 0.0, 1.0])
+    assert np.array_equal(dens.density(x), dens.density(x[:, None]))
+    assert dens.density(x).shape == (3,)
+    assert np.array_equal(dens.gradient(x), dens.gradient(x[:, None]))
+    assert dens.gradient(x).shape == (3, 1)
+    # one point, as a scalar or a 1-element array
+    assert dens.density(0.5).shape == (1,) and dens.density([0.5]).shape == (1,)
+    with pytest.raises(ValueError, match="does not match model dim 1"):
+        dens.density(np.zeros((3, 2)))
