@@ -18,29 +18,30 @@ from .shift import ShiftOperator, ShiftTrace, _resolve_tol
 
 @dataclass(frozen=True)
 class AnomalyReport:
-    """Scores, descending ranking, convergence flags, optional paths."""
+    """Scores, convergence flags, optional paths, and the ranking they imply."""
 
     scores: np.ndarray
-    ranking: np.ndarray
     converged: np.ndarray
     traces: list[ShiftTrace] | None = None
 
     def __post_init__(self):
         scores = _frozen(self.scores)
-        ranking = _frozen(self.ranking, np.int64)
         conv = _frozen(self.converged, bool)
         if scores.ndim != 1 or scores.size == 0:
             raise ValueError("scores must be a nonempty vector")
         if scores.min() < 0.0:
             raise ValueError("scores are path lengths and cannot be negative")
-        if ranking.shape != scores.shape or conv.shape != scores.shape:
-            raise ValueError("scores, ranking, converged must be congruent")
-        if not np.array_equal(np.sort(ranking), np.arange(scores.size)):
-            raise ValueError("ranking must be a permutation of point indices")
+        if conv.shape != scores.shape:
+            raise ValueError("scores and converged must be congruent")
         if self.traces is not None and len(self.traces) != scores.size:
             raise ValueError("need one trace per point")
-        for name, arr in (("scores", scores), ("ranking", ranking), ("converged", conv)):
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "converged", conv)
+
+    @property
+    def ranking(self) -> np.ndarray:
+        """Point indices by descending score, ties by lower index."""
+        return np.argsort(-self.scores, kind="stable")
 
     def __len__(self):
         return self.scores.size
@@ -122,8 +123,7 @@ def anomaly_scores(data, model: DensityModel | None = None, tol=None,
             ShiftTrace(path=stack[: end_step[i] + 1, i, :], converged=bool(converged[i]))
             for i in range(n)
         ]
-    ranking = np.argsort(-scores, kind="stable")
-    return AnomalyReport(scores, ranking, converged, traces)
+    return AnomalyReport(scores, converged, traces)
 
 
 def top_k(report: AnomalyReport, k: int) -> np.ndarray:
@@ -131,4 +131,4 @@ def top_k(report: AnomalyReport, k: int) -> np.ndarray:
     k = int(k)
     if not 0 <= k <= len(report):
         raise ValueError(f"k must be in 0..{len(report)}")
-    return report.ranking[:k].copy()
+    return report.ranking[:k]

@@ -28,8 +28,7 @@ import numpy as np
 from . import __version__
 from .anomaly import anomaly_scores, top_k
 from .clustering import run_clustering_case, run_dataset_eval
-from .density import PointCloud, density_at, fit, select_bandwidth_scv
-from .density import standardize as _standardize
+from .density import density_at, fit, select_bandwidth_scv, standardize
 from .shift import ShiftOperator, denoise
 from .synthetic import (
     _CASES,
@@ -119,13 +118,14 @@ _DATASETS = {
 }
 
 
-def load_dataset(name, path, standardize=True, with_labels=False):
+def load_dataset(name, path):
     """Load one of the reference CSV datasets with a strict shape check.
 
     Expected shapes: olive 572x8, banknote 1372x4, seeds 210x7.  A single
     extra trailing column is treated as the class label and split off.
-    Features are standardized (per-coordinate zero mean, unit sample sd) by
-    default; the published bandwidths assume standardized coordinates.
+    Returns the standardized features (per-coordinate zero mean, unit sample
+    sd; the published bandwidths assume them) and the labels, or None when
+    the file has no label column.
     """
     if name not in _DATASETS:
         raise CliError(f"unknown dataset {name!r}; choose from {sorted(_DATASETS)}")
@@ -139,8 +139,7 @@ def load_dataset(name, path, standardize=True, with_labels=False):
         raise CliError(
             f"{path}: {name} should be {n_exp}x{d_exp} (optionally +1 label "
             f"column), found {arr.shape[0]}x{arr.shape[1]}")
-    cloud = _standardize(arr) if standardize else PointCloud(arr)
-    return (cloud, labels) if with_labels else cloud
+    return standardize(arr), labels
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +256,7 @@ def cmd_cluster_eval(args):
             raise CliError("--knn and --sigma apply to --case runs only, not to --dataset")
         if not args.input:
             raise CliError("--dataset requires --input pointing at the CSV file")
-        cloud, labels = load_dataset(args.dataset, args.input, with_labels=True)
+        cloud, labels = load_dataset(args.dataset, args.input)
         if labels is None:
             raise CliError(f"{args.input}: dataset file has no label column to score against")
         _, _, k_default, h_default = _DATASETS[args.dataset]

@@ -267,12 +267,13 @@ def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
     """Normalized spectral clustering with a gaussian affinity.
 
     Builds exp(-d^2 / 2 sigma^2) affinities (sigma "auto" is the median
-    pair distance; optionally sparsified to a symmetrized k-nearest-neighbor
-    graph), takes the k leading eigenvectors of D^{-1/2} A D^{-1/2},
-    normalizes the rows, and k-means them.  Only those k eigenpairs are
-    computed (LAPACK ``syevr`` with an index subset), and LAPACK works in
-    the normalized matrix itself: it is exactly symmetric, so its transpose
-    is the Fortran-order array LAPACK reads.
+    pair distance, and a given sigma must be positive and finite;
+    optionally sparsified to a symmetrized k-nearest-neighbor graph), takes
+    the k leading eigenvectors of D^{-1/2} A D^{-1/2}, normalizes the rows,
+    and k-means them.  Only those k eigenpairs are computed (LAPACK
+    ``syevr`` with an index subset), and LAPACK works in the normalized
+    matrix itself: it is exactly symmetric, so its transpose is the
+    Fortran-order array LAPACK reads.
     Connected components are counted by breadth-first search on the dense
     graph; if there are more than k a warning is issued and clustering
     proceeds anyway.  More than `_MAX_SPECTRAL_POINTS` points, or a `knn`
@@ -300,10 +301,10 @@ def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
         if not 1 <= knn < n:
             raise ValueError(f"knn must be in 1..{n - 1}")
 
-    auto = affinity_sigma in (None, "auto")
+    auto = affinity_sigma == "auto"
     if not auto:
         sigma = float(affinity_sigma)
-        if not sigma > 0.0:
+        if not 0.0 < sigma < np.inf:
             raise ValueError("affinity_sigma must be positive")
 
     # one pass over the pairs serves the automatic scale and the affinities
@@ -333,11 +334,8 @@ def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
     return kmeans(rows, k, rng_seed=rng_seed)
 
 
-_LINKAGES = ("single", "complete", "average", "ward")
-
-
-def hierarchical(data, k, linkage="average") -> LabelSet:
-    """Agglomerative clustering cut at k clusters."""
+def hierarchical(data, k) -> LabelSet:
+    """Average-linkage agglomerative clustering cut at k clusters."""
     from scipy.cluster import hierarchy
 
     pts = _as_cloud(data).points
@@ -345,9 +343,7 @@ def hierarchical(data, k, linkage="average") -> LabelSet:
     k = int(k)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    if linkage not in _LINKAGES:
-        raise ValueError(f"linkage must be one of {_LINKAGES}")
-    merge_tree = hierarchy.linkage(pts, method=linkage)
+    merge_tree = hierarchy.linkage(pts, method="average")
     flat = hierarchy.fcluster(merge_tree, t=k, criterion="maxclust")
     return LabelSet(flat.astype(np.int64) - flat.min(), k)
 

@@ -30,9 +30,12 @@ __all__ = [
 ]
 
 
-# Uniform contamination box of the 1-D mixture: its bulk [mu1 - 3 sd, mu2 + 3 sd].
-_NOISE_LOW = -3.0
-_NOISE_HIGH = 8.0
+# The paper's 1-D mixture 0.7 N(0, 1) + 0.3 N(5, 1): the first component's
+# weight, the two means and the two sds.
+_GMM_MIX, _GMM_MU1, _GMM_MU2, _GMM_S1, _GMM_S2 = 0.7, 0.0, 5.0, 1.0, 1.0
+# Its uniform contamination box, the bulk [mu1 - 3 sd, mu2 + 3 sd] = [-3, 8].
+_NOISE_LOW = _GMM_MU1 - 3.0 * _GMM_S1
+_NOISE_HIGH = _GMM_MU2 + 3.0 * _GMM_S2
 
 
 def _rng(*entropy) -> np.random.Generator:
@@ -68,29 +71,24 @@ class LabeledCloud:
         return self.cloud.size
 
 
-def gen_bullseye(n0: int, ring_radius: float = 6.0, eye_fraction: float = 0.2,
-                 sigma: float = 1.0, rng_seed: int = 0) -> LabeledCloud:
+def gen_bullseye(n0: int, sigma: float = 1.0, rng_seed: int = 0) -> LabeledCloud:
     """Central blob plus a surrounding ring, both with gaussian jitter.
 
-    ``round(eye_fraction * n0)`` points sit at the origin (label 0), the
-    rest uniformly on the radius-`ring_radius` circle (label 1); both get
-    isotropic gaussian noise with sd `sigma`.  Draw order: eye angles are
-    not needed, so the stream is eye jitter, ring angles, ring jitter.
+    ``round(0.2 * n0)`` points sit at the origin (label 0), the rest
+    uniformly on the circle of radius 6 (label 1); both get isotropic
+    gaussian noise with sd `sigma`.  Draw order: eye angles are not needed,
+    so the stream is eye jitter, ring angles, ring jitter.
     """
-    if n0 < 2:
-        raise ValueError("n0 must be >= 2")
-    if not 0.0 < eye_fraction < 1.0:
-        raise ValueError(f"eye_fraction must be in (0, 1), got {eye_fraction}")
-    if sigma < 0.0 or ring_radius <= 0.0:
-        raise ValueError("sigma must be >= 0 and ring_radius > 0")
-    n_eye = int(round(eye_fraction * n0))
+    if n0 < 3:
+        raise ValueError(f"n0 must be >= 3, so that the eye is not empty; got {n0}")
+    if sigma < 0.0:
+        raise ValueError("sigma must be >= 0")
+    n_eye = int(round(0.2 * n0))
     n_ring = n0 - n_eye
-    if n_eye < 1 or n_ring < 1:
-        raise ValueError("split leaves an empty group; adjust n0 or eye_fraction")
     rng = np.random.default_rng(rng_seed)
     eye = sigma * rng.standard_normal((n_eye, 2))
     theta = rng.uniform(0.0, 2.0 * math.pi, n_ring)
-    ring = ring_radius * np.column_stack([np.cos(theta), np.sin(theta)])
+    ring = 6.0 * np.column_stack([np.cos(theta), np.sin(theta)])
     ring = ring + sigma * rng.standard_normal((n_ring, 2))
     pts = np.vstack([eye, ring])
     labels = np.concatenate([np.zeros(n_eye, dtype=np.int64), np.ones(n_ring, dtype=np.int64)])
@@ -161,9 +159,9 @@ def gen_spiral(n0: int, sigma: float = 0.05, rng_seed: int = 0) -> LabeledCloud:
     return LabeledCloud(PointCloud(pts), labels)
 
 
-def gen_gmm_1d(n: int, mix: float = 0.7, mu1: float = 0.0, mu2: float = 5.0,
-               s1: float = 1.0, s2: float = 1.0, rng_seed: int = 0) -> PointCloud:
-    """Two-component 1-D gaussian mixture sample.
+def gen_gmm_1d(n: int, mix: float = _GMM_MIX, mu1: float = _GMM_MU1, mu2: float = _GMM_MU2,
+               s1: float = _GMM_S1, s2: float = _GMM_S2, rng_seed: int = 0) -> PointCloud:
+    """Two-component 1-D gaussian mixture sample, by default the paper's.
 
     Per point: Bernoulli(mix) picks component 1, then one normal draw.
     Draw order: n uniforms, then n standard normals.

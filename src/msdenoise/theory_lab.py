@@ -35,7 +35,8 @@ from .shift import (
     empirical_step_weighted_mean,
     shift_until_converged,
 )
-from .synthetic import _NOISE_HIGH, _NOISE_LOW, _rng, gen_gmm_1d
+from .synthetic import (_GMM_MIX, _GMM_MU1, _GMM_MU2, _GMM_S1, _GMM_S2, _NOISE_HIGH,
+                        _NOISE_LOW, _rng, gen_gmm_1d)
 
 __all__ = [
     "LevelSetSpec",
@@ -262,9 +263,10 @@ def _phi(x, mu, s):
     return np.exp(-0.5 * ((x - mu) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
 
 
-def gmm_density(mix: float = 0.7, mu1: float = 0.0, mu2: float = 5.0,
-                s1: float = 1.0, s2: float = 1.0) -> AnalyticDensity:
-    """Two-component 1-D gaussian mixture with located critical points.
+def gmm_density(mix: float = _GMM_MIX, mu1: float = _GMM_MU1, mu2: float = _GMM_MU2,
+                s1: float = _GMM_S1, s2: float = _GMM_S2) -> AnalyticDensity:
+    """Two-component 1-D gaussian mixture with located critical points, by
+    default the paper's 0.7 N(0, 1) + 0.3 N(5, 1).
 
     Modes and the inter-mode minimum are the roots of p' in its sign-change
     brackets on a 4001-point grid over mu -/+ 4 s, found by bisection.  The
@@ -475,9 +477,9 @@ def empirical_population_gap(density: AnalyticDensity, probe_set: LevelSetSpec,
     masses.  Values are means over replicates; the expected trend slope in
     log n is -1/2.
     """
-    n_grid = np.asarray(n_grid, dtype=int)
-    if np.any(np.diff(n_grid) <= 0) or np.any(n_grid < 100):
-        raise ValueError("n_grid must be strictly increasing with all n >= 100")
+    n_grid = _grid(n_grid, "n_grid")
+    if n_grid[0] < 100 or np.any(n_grid % 1.0 != 0.0):
+        raise ValueError(f"n_grid must hold whole sample sizes, all >= 100, got {n_grid.tolist()}")
     if n_reps < 2:
         raise ValueError(f"n_reps must be >= 2 for a standard error, got {n_reps}")
     sampler = _require_sampler(density, n_pop=n_pop)
@@ -497,7 +499,7 @@ def empirical_population_gap(density: AnalyticDensity, probe_set: LevelSetSpec,
     values = np.array(means)
     extras = {"gap_se": np.array(ses), "h": float(h), "n_pop": int(n_pop),
               "n_reps": int(n_reps), "trend_decreasing": bool(np.all(np.diff(values) < 0.0))}
-    return _fitted("empirical_population_gap", n_grid.astype(float), values, extras)
+    return _fitted("empirical_population_gap", n_grid, values, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -548,18 +550,15 @@ def level_scale_family(base: AnalyticDensity) -> PerturbationFamily:
                               delta1=lambda d: abs(d) * (f_sup + g_sup))
 
 
-def mixture_tilt_family(mix: float = 0.7, mu1: float = 0.0, mu2: float = 5.0,
-                        s1: float = 1.0, s2: float = 1.0) -> PerturbationFamily:
-    """Reweight the two mixture components: mix -> mix - delta.
+def mixture_tilt_family() -> PerturbationFamily:
+    """Reweight the two components of `gmm_density()`: 0.7 -> 0.7 - delta.
 
     This moves mass between the bumps, genuinely changing the shift field;
     the response on a level set should scale linearly in the perturbation
-    size.
+    size.  The sup norms behind delta1 are taken on [mu1 - 8, mu2 + 8].
     """
-    base = gmm_density(mix, mu1, mu2, s1, s2)
-    lo = min(mu1, mu2) - 8.0
-    hi = max(mu1, mu2) + 8.0
-    xs = np.linspace(lo, hi, 20001)
+    mix, mu1, mu2, s1, s2 = _GMM_MIX, _GMM_MU1, _GMM_MU2, _GMM_S1, _GMM_S2
+    xs = np.linspace(mu1 - 8.0, mu2 + 8.0, 20001)
     df = np.abs(_phi(xs, mu2, s2) - _phi(xs, mu1, s1))
     dg = np.abs(-(xs - mu2) / s2**2 * _phi(xs, mu2, s2) + (xs - mu1) / s1**2 * _phi(xs, mu1, s1))
     unit = float(df.max()) + float(dg.max())
@@ -567,9 +566,9 @@ def mixture_tilt_family(mix: float = 0.7, mu1: float = 0.0, mu2: float = 5.0,
     def perturbed(delta: float) -> AnalyticDensity:
         if not 0.0 < mix - delta < 1.0:
             raise ValueError("tilt takes the mixing weight outside (0, 1)")
-        return gmm_density(mix - delta, mu1, mu2, s1, s2)
+        return gmm_density(mix - delta)
 
-    return PerturbationFamily("mixture_tilt", base, perturbed,
+    return PerturbationFamily("mixture_tilt", gmm_density(), perturbed,
                               delta1=lambda d: abs(d) * unit)
 
 

@@ -41,14 +41,12 @@ def energy_statistic(x, y) -> float:
 
     (nm/(n+m)) * (2 mean||Xi-Yj|| - mean||Xi-Xi'|| - mean||Yj-Yj'||), with the
     within-sample means taken over all ordered pairs including the diagonal.
-    Samples in one dimension are scored in sorted order, without distances.
+    Samples in one dimension are scored in sorted order, without distances,
+    as the observed value of their permutation route.
     """
     xa, ya = _sample_pair(x, y)
     if xa.shape[1] == 1:
-        z, rank, grand, weights = _sorted_pool(xa, ya)
-        ranks = rank[np.newaxis]
-        stats = _sorted_energy(z, ranks, xa.shape[0], grand, weights, np.empty(ranks.shape))
-        return float(stats[0])
+        return _sorted_permutation_stats(xa, ya, 0, None)[0]
     return _pooled_statistic("energy", xa, ya)[0]
 
 
@@ -124,13 +122,14 @@ def mmd2_biased(x, y, kernel_sigma="auto") -> float:
     """Biased V-statistic estimate of squared MMD with a gaussian kernel.
 
     kernel k(a, b) = exp(-||a-b||^2 / (2 sigma^2)); sigma defaults to the
-    median pairwise distance of the pooled sample.
+    median pairwise distance of the pooled sample ("auto"); a given sigma
+    must be positive and finite.
     """
     xa, ya = _sample_pair(x, y)
     sigma = None
-    if kernel_sigma not in (None, "auto"):
+    if kernel_sigma != "auto":
         sigma = float(kernel_sigma)
-        if not sigma > 0.0:
+        if not 0.0 < sigma < np.inf:
             raise ValueError("kernel_sigma must be positive")
     return _pooled_statistic("mmd", xa, ya, sigma)[0]
 
@@ -187,13 +186,16 @@ class TestResult:
     p_value: float
     n_permutations: int
     alpha: float
-    reject: bool
 
     def __post_init__(self):
         if not 0.0 < self.p_value <= 1.0:
             raise ValueError("p_value must lie in (0, 1]")
         if self.n_permutations < 1:
             raise ValueError("n_permutations must be positive")
+
+    @property
+    def reject(self) -> bool:
+        return self.p_value <= self.alpha
 
 
 def _indicator_matrix(total, n_x, n_perm, rng):
@@ -235,18 +237,17 @@ def permutation_test(stat, x, y, n_perm=999, rng_seed=0, alpha=0.05) -> TestResu
             perm = rng.permutation(total)
             if float(stat(pooled[perm[:n]], pooled[perm[n:]])) >= observed:
                 exceed += 1
-    elif stat in ("energy", "mmd"):
-        if stat == "energy" and xa.shape[1] == 1:
-            observed = energy_statistic(xa, ya)
-            perm_stats = _sorted_permutation_stats(xa, ya, n_perm, rng)
-        else:
-            observed, perm_stats = _pooled_permutation_stats(stat, xa, ya, n_perm, rng)
-        exceed = int((perm_stats >= observed).sum())
     else:
-        raise ValueError("stat must be callable, 'energy', or 'mmd'")
+        if stat == "energy" and xa.shape[1] == 1:
+            observed, perm_stats = _sorted_permutation_stats(xa, ya, n_perm, rng)
+        elif stat in ("energy", "mmd"):
+            observed, perm_stats = _pooled_permutation_stats(stat, xa, ya, n_perm, rng)
+        else:
+            raise ValueError("stat must be callable, 'energy', or 'mmd'")
+        exceed = int((perm_stats >= observed).sum())
 
     p = (1.0 + exceed) / (1.0 + n_perm)
-    return TestResult(observed, p, n_perm, alpha, p <= alpha)
+    return TestResult(observed, p, n_perm, alpha)
 
 
 # Permutations drawn and scored together by the 1-D energy route.  Each test
@@ -258,16 +259,18 @@ _PERM_BLOCK = 16
 
 
 def _sorted_permutation_stats(xa, ya, n_perm, rng):
-    """Every permuted 1-D energy statistic, scored in sorted order.
+    """The observed 1-D energy statistic and every permuted one, in sorted order.
 
-    Each block row starts as the sorted ranks of the pooled sample and is
-    shuffled in place by `rng.permuted`.  A shuffle moves entries by
-    positions drawn independently of their contents, so each row is
-    `rank[rng.permutation(n+m)]`, and the generator ends in the same state
-    as after one such draw per permutation.
+    The observed split is scored on a copy of the sorted ranks, since
+    `_sorted_energy` sorts its rows in place.  Each block row starts as
+    those ranks and is shuffled in place by `rng.permuted`.  A shuffle moves
+    entries by positions drawn independently of their contents, so each row
+    is `rank[rng.permutation(n+m)]`, and the generator ends in the same
+    state as after one such draw per permutation.
     """
     n, total = xa.shape[0], xa.shape[0] + ya.shape[0]
     z, rank, grand, weights = _sorted_pool(xa, ya)
+    observed = _sorted_energy(z, rank[np.newaxis].copy(), n, grand, weights, np.empty((1, total)))
     block = np.empty((min(_PERM_BLOCK, n_perm), total), dtype=np.intp)
     values = np.empty(block.shape)
     stats = np.empty(n_perm)
@@ -277,7 +280,7 @@ def _sorted_permutation_stats(xa, ya, n_perm, rng):
         ranks[:] = rank
         rng.permuted(ranks, axis=1, out=ranks)
         stats[lo:lo + rows] = _sorted_energy(z, ranks, n, grand, weights, values[:rows])
-    return stats
+    return float(observed[0]), stats
 
 
 def _pooled_permutation_stats(which, xa, ya, n_perm, rng):

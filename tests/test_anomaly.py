@@ -48,8 +48,7 @@ def test_far_outlier_is_scored_first():
 
 
 def test_top_k_sort_oracle():
-    report = AnomalyReport(np.array([3.0, 1.0, 2.0]), np.array([0, 2, 1]),
-                           np.ones(3, dtype=bool))
+    report = AnomalyReport(np.array([3.0, 1.0, 2.0]), np.ones(3, dtype=bool))
     assert top_k(report, 2).tolist() == [0, 2]
     assert top_k(report, 0).tolist() == []
     assert top_k(report, 3).tolist() == [0, 2, 1]
@@ -58,12 +57,10 @@ def test_top_k_sort_oracle():
 
 
 def test_ties_ranked_by_lower_index():
-    report = AnomalyReport(np.array([1.0, 2.0, 2.0, 0.5]), np.array([1, 2, 0, 3]),
-                           np.ones(4, dtype=bool))
-    # 1 and 2 tie; the builder must have put 1 first, as argsort-stable does
-    scores = np.array([1.0, 2.0, 2.0, 0.5])
-    order = np.argsort(-scores, kind="stable")
-    assert order.tolist() == [1, 2, 0, 3]
+    # the ranking comes from the scores alone: 1 and 2 tie, and 1 comes first
+    report = AnomalyReport(np.array([1.0, 2.0, 2.0, 0.5]), np.ones(4, dtype=bool))
+    assert report.ranking.tolist() == [1, 2, 0, 3]
+    assert top_k(report, 2).tolist() == [1, 2]
 
 
 def test_rigid_motion_invariance():
@@ -116,11 +113,9 @@ def test_nonconvergent_points_flagged_and_scored():
 
 def test_report_validation():
     with pytest.raises(ValueError):
-        AnomalyReport(np.array([-1.0, 2.0]), np.array([1, 0]), np.ones(2, dtype=bool))
+        AnomalyReport(np.array([-1.0, 2.0]), np.ones(2, dtype=bool))
     with pytest.raises(ValueError):
-        AnomalyReport(np.array([1.0, 2.0]), np.array([0, 0]), np.ones(2, dtype=bool))
-    with pytest.raises(ValueError):
-        AnomalyReport(np.array([1.0, 2.0]), np.array([1, 0]), np.ones(3, dtype=bool))
+        AnomalyReport(np.array([1.0, 2.0]), np.ones(3, dtype=bool))
 
 
 def test_dimension_mismatch_and_bad_args():

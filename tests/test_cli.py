@@ -161,7 +161,7 @@ def _fake_seeds_csv(path, with_label):
 def test_load_dataset_standardizes_and_splits_labels(tmp_path):
     f = tmp_path / "seeds.csv"
     _fake_seeds_csv(f, with_label=True)
-    cloud, labels = load_dataset("seeds", str(f), with_labels=True)
+    cloud, labels = load_dataset("seeds", str(f))
     assert cloud.points.shape == (210, 7)
     assert labels.shape == (210,) and labels.dtype == np.int64
     assert np.allclose(cloud.points.mean(axis=0), 0.0, atol=1e-12)
@@ -171,11 +171,9 @@ def test_load_dataset_standardizes_and_splits_labels(tmp_path):
 def test_load_dataset_without_labels(tmp_path):
     f = tmp_path / "seeds.csv"
     _fake_seeds_csv(f, with_label=False)
-    cloud, labels = load_dataset("seeds", str(f), with_labels=True)
+    cloud, labels = load_dataset("seeds", str(f))
     assert cloud.points.shape == (210, 7)
     assert labels is None
-    raw = load_dataset("seeds", str(f), standardize=False)
-    assert abs(raw.points.mean()) > 1.0  # untouched coordinates
 
 
 def test_load_dataset_shape_mismatch(tmp_path):
@@ -246,6 +244,12 @@ def test_cluster_eval_case_refuses_graph_flags_off_spectral(capsys, algo, flags)
     assert main(argv + flags) == 2
     assert "--algo spectral only" in capsys.readouterr().err
     assert main(argv) == 0
+
+
+def test_cluster_eval_refuses_an_infinite_sigma(capsys):
+    argv = ["cluster-eval", "--case", "bullseye1", "--reps", "1", "--sigma", "inf"]
+    assert main(argv) == 2
+    assert "affinity_sigma must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("h,code", [("wat", 2), ("-1", 2), ("0.3", 0), ("scv", 0)])

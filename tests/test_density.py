@@ -274,8 +274,7 @@ def _stored_arrays():
         ("LabelSet", lambda: build(lambda **a: LabelSet(k=2, **a),
                                    labels=np.array([0, 1, 1], dtype=np.int64))),
         ("AnomalyReport", lambda: build(
-            AnomalyReport, scores=np.array([0.5, 2.0]),
-            ranking=np.array([1, 0], dtype=np.int64), converged=np.array([True, False]))),
+            AnomalyReport, scores=np.array([0.5, 2.0]), converged=np.array([True, False]))),
         ("PowerCurve", lambda: build(
             lambda **a: PowerCurve(n_reps=4, test="energy", alpha=0.05, **a),
             grid=np.array([0.0, 1.0]), power_before=np.array([0.0, 0.5]),
@@ -585,7 +584,7 @@ def test_scv_on_seeds_dataset_loose():
     """Published reference value for this dataset is 0.613; allow factor 2."""
     from msdenoise.cli import load_dataset
 
-    cloud = load_dataset("seeds", _SEEDS_CSV)
+    cloud, _ = load_dataset("seeds", _SEEDS_CSV)
     h = select_bandwidth_scv(cloud)
     assert 0.613 / 2.0 < h < 0.613 * 2.0
 

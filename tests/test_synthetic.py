@@ -18,7 +18,7 @@ from msdenoise.density import PointCloud
 
 
 def test_bullseye_counts_and_labels():
-    lab = gen_bullseye(500, ring_radius=6.0, eye_fraction=0.2, sigma=1.0, rng_seed=0)
+    lab = gen_bullseye(500, sigma=1.0, rng_seed=0)
     assert len(lab) == 500
     assert int((lab.labels == 0).sum()) == 100  # round(0.2 * 500) eye points
     assert int((lab.labels == 1).sum()) == 400
@@ -41,13 +41,13 @@ def test_bullseye_deterministic():
 
 def test_bullseye_validation():
     with pytest.raises(ValueError):
-        gen_bullseye(500, eye_fraction=0.0)
-    with pytest.raises(ValueError):
-        gen_bullseye(500, eye_fraction=1.2)
-    with pytest.raises(ValueError):
         gen_bullseye(500, sigma=-1.0)
     with pytest.raises(ValueError):
         gen_bullseye(1)
+    # two points would leave the eye empty (round(0.4) = 0); three do not
+    with pytest.raises(ValueError, match="n0 must be >= 3"):
+        gen_bullseye(2)
+    assert gen_bullseye(3, rng_seed=0).labels.tolist() == [0, 1, 1]
 
 
 def test_uniform_noise_inside_box_and_clt_mean():

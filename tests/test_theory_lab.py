@@ -283,6 +283,17 @@ def _refusing_sampler(rng, n):
     raise AssertionError("sampled before the arguments were checked")
 
 
+@pytest.mark.parametrize("n_grid", [[150.9, 400.5], [200, 400.5], [200, math.inf], [200]],
+                         ids=["fractional", "one_fractional", "infinite", "single"])
+def test_empirical_population_gap_refuses_a_grid_of_other_than_whole_sizes(
+        gmm, gmm_spec, n_grid):
+    # a fractional size is not truncated, and a grid the report would refuse
+    # is refused before any sample is drawn
+    unsampled = dataclasses.replace(gmm, sampler=_refusing_sampler)
+    with pytest.raises(ValueError, match="n_grid must"):
+        lab.empirical_population_gap(unsampled, gmm_spec, n_grid, h=0.3, n_reps=2)
+
+
 @pytest.mark.parametrize("n_reps", [0, 1])
 def test_empirical_population_gap_requires_two_reps(gmm, gmm_spec, n_reps):
     # one replicate has no standard error, none has no mean: refused before

@@ -117,6 +117,12 @@ class TestMMD:
         with pytest.raises(ValueError):
             mmd2_biased([0.0], [1.0], kernel_sigma=0.0)
 
+    def test_infinite_sigma_refused(self):
+        # every kernel value would be 1, so samples 3 sd apart would score 0
+        x = np.random.default_rng(6).normal(size=(50, 1))
+        with pytest.raises(ValueError, match="kernel_sigma must be positive"):
+            mmd2_biased(x, x + 3.0, kernel_sigma=math.inf)
+
 
 @pytest.fixture(scope="module")
 def sorted_cases():
@@ -185,7 +191,8 @@ class TestPermutationTest:
             # split, and the generator ends where one draw per permutation
             # leaves it
             rng_route, rng_draws = np.random.default_rng(4), np.random.default_rng(4)
-            stats = twosample._sorted_permutation_stats(x, y, n_perm, rng_route)
+            observed, stats = twosample._sorted_permutation_stats(x, y, n_perm, rng_route)
+            assert observed == fast.statistic
             for stat in stats:
                 perm = rng_draws.permutation(n + m)
                 assert stat == energy_statistic(pooled[perm[:n]], pooled[perm[n:]])
@@ -221,7 +228,6 @@ class TestPermutationTest:
             assert energy == energy_statistic(x, y) == _energy_oracle(x, y)
         mmd = permutation_test("mmd", x, y, n_perm=99).statistic
         assert mmd == mmd2_biased(x, y) == _mmd_oracle(x, y)
-        assert mmd2_biased(x, y, kernel_sigma=None) == mmd
         for sigma in (0.7, 2.5):
             assert mmd2_biased(x, y, kernel_sigma=sigma) == _mmd_oracle(x, y, sigma)
 
@@ -240,7 +246,7 @@ class TestPermutationTest:
             n, total = x.shape[0], x.shape[0] + y.shape[0]
             want = oracle(x, y)
             assert abs(energy_statistic(x, y) - want) <= 1e-10 * abs(want)
-            got = twosample._sorted_permutation_stats(x, y, 3, np.random.default_rng(0))
+            _, got = twosample._sorted_permutation_stats(x, y, 3, np.random.default_rng(0))
             rng = np.random.default_rng(0)
             pooled = np.vstack([x, y])
             for stat in got:
@@ -252,7 +258,7 @@ class TestPermutationTest:
         for x, y in sorted_cases:
             rng_sorted = np.random.default_rng(21)
             rng_pooled = np.random.default_rng(21)
-            got = twosample._sorted_permutation_stats(x, y, 199, rng_sorted)
+            _, got = twosample._sorted_permutation_stats(x, y, 199, rng_sorted)
             observed, want = twosample._pooled_permutation_stats("energy", x, y, 199,
                                                                  rng_pooled)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
@@ -341,9 +347,9 @@ class TestPermutationTest:
 
     def test_result_invariants(self):
         with pytest.raises(ValueError):
-            TestResult(1.0, 0.0, 99, 0.05, False)
+            TestResult(1.0, 0.0, 99, 0.05)
         with pytest.raises(ValueError):
-            TestResult(1.0, 0.5, 0, 0.05, False)
+            TestResult(1.0, 0.5, 0, 0.05)
 
 
 def test_msd_pipeline_contracts():
