@@ -122,18 +122,23 @@ def load_dataset(name, path):
     """Load one of the reference CSV datasets with a strict shape check.
 
     Expected shapes: olive 572x8, banknote 1372x4, seeds 210x7.  A single
-    extra trailing column is treated as the class label and split off.
-    Returns the standardized features (per-coordinate zero mean, unit sample
-    sd; the published bandwidths assume them) and the labels, or None when
-    the file has no label column.
+    extra trailing column is treated as the class label and split off; its
+    values must be whole numbers.  Returns the standardized features
+    (per-coordinate zero mean, unit sample sd; the published bandwidths
+    assume them) and the labels, or None when the file has no label column.
     """
     if name not in _DATASETS:
         raise CliError(f"unknown dataset {name!r}; choose from {sorted(_DATASETS)}")
     n_exp, d_exp, _, _ = _DATASETS[name]
-    arr, _ = _read_csv(path)
+    arr, header = _read_csv(path)
     labels = None
     if arr.shape == (n_exp, d_exp + 1):
-        labels = arr[:, -1].astype(np.int64)
+        col = arr[:, -1]
+        bad = np.flatnonzero(col != np.trunc(col))
+        if bad.size:
+            line = int(bad[0]) + 1 + (header is not None)
+            raise CliError(f"{path}: line {line}: label {col[bad[0]]:g} is not a whole number")
+        labels = col.astype(np.int64)
         arr = arr[:, :d_exp]
     elif arr.shape != (n_exp, d_exp):
         raise CliError(

@@ -130,6 +130,22 @@ def _frozen(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _checked_points(arr: np.ndarray) -> np.ndarray:
+    """`arr` as an (n, d) view, a 1-D array being n points in one coordinate,
+    once it holds at least one finite point: the point rule of `PointCloud`,
+    which also serves code that reads a caller's array without copying it."""
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2:
+        raise ValueError(f"points must be (n, d), got ndim={arr.ndim}")
+    n, d = arr.shape
+    if n < 1 or d < 1:
+        raise ValueError(f"need at least one point and one coordinate, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("points must be finite (no NaN or inf)")
+    return arr
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Immutable sample of n points in R^d.
@@ -143,17 +159,7 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = _frozen(self.points)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2:
-            raise ValueError(f"points must be (n, d), got ndim={pts.ndim}")
-        n, d = pts.shape
-        if n < 1 or d < 1:
-            raise ValueError(f"need at least one point and one coordinate, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite (no NaN or inf)")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _checked_points(_frozen(self.points)))
 
     @property
     def size(self) -> int:

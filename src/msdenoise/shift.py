@@ -37,6 +37,7 @@ from .density import (
     _kde_eval,
     _reduce_kernel_blocks,
     _row_sums,
+    _sq_distances,
 )
 
 __all__ = [
@@ -194,10 +195,12 @@ def _far_field_weights(cols: np.ndarray, h: float, q: np.ndarray, out: np.ndarra
     """
     if not np.all(np.isfinite(q)):
         return
-    expo = np.square(cols - q[:, None]).sum(axis=0) * (-0.5 / (h * h))
+    expo = np.empty((1, cols.shape[1]))
+    _sq_distances(expo, np.empty_like(expo), cols, q[None, :])
+    expo *= -0.5 / (h * h)
     top = expo.max()
     if np.isfinite(top):
-        np.exp(expo - top, out=out)
+        np.exp(expo[0] - top, out=out)
 
 
 def empirical_step_weighted_mean(model: DensityModel, x):

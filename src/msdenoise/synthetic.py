@@ -96,7 +96,10 @@ def gen_bullseye(n0: int, sigma: float = 1.0, rng_seed: int = 0) -> LabeledCloud
 
 
 def gen_uniform_noise(n1: int, box_low, box_high, rng_seed: int = 0) -> PointCloud:
-    """n1 i.i.d. uniform draws in the axis-aligned box [box_low, box_high]."""
+    """n1 i.i.d. uniform draws in the axis-aligned box [box_low, box_high].
+
+    The box must be finite with a finite width, which numpy's draw needs.
+    """
     if n1 < 1:
         raise ValueError("n1 must be >= 1")
     low = np.atleast_1d(np.asarray(box_low, dtype=float))
@@ -105,6 +108,11 @@ def gen_uniform_noise(n1: int, box_low, box_high, rng_seed: int = 0) -> PointClo
         raise ValueError("box_low and box_high must be matching vectors")
     if not np.all(low < high):
         raise ValueError("box must have positive volume (box_low < box_high elementwise)")
+    with np.errstate(over="ignore"):
+        width = high - low
+    if not np.all(np.isfinite(width)):
+        raise ValueError(f"box from {low.tolist()} to {high.tolist()} must be finite, "
+                         "and so must its width high - low")
     rng = np.random.default_rng(rng_seed)
     pts = rng.uniform(low, high, size=(n1, low.shape[0]))
     return PointCloud(pts)
@@ -163,8 +171,10 @@ def gen_gmm_1d(n: int, mix: float = _GMM_MIX, mu1: float = _GMM_MU1, mu2: float 
                s1: float = _GMM_S1, s2: float = _GMM_S2, rng_seed: int = 0) -> PointCloud:
     """Two-component 1-D gaussian mixture sample, by default the paper's.
 
-    Per point: Bernoulli(mix) picks component 1, then one normal draw.
-    Draw order: n uniforms, then n standard normals.
+    Per point: Bernoulli(mix) picks component 1, then one normal draw z,
+    which becomes ``mu + s * z`` of the picked component.  Draw order: n
+    uniforms, then n standard normals.  The normals are scaled and shifted
+    in place, so the draw holds the output and one float temporary at most.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -174,8 +184,9 @@ def gen_gmm_1d(n: int, mix: float = _GMM_MIX, mu1: float = _GMM_MU1, mu2: float 
         raise ValueError("component sds must be positive")
     rng = np.random.default_rng(rng_seed)
     pick1 = rng.random(n) < mix
-    z = rng.standard_normal(n)
-    x = np.where(pick1, mu1 + s1 * z, mu2 + s2 * z)
+    x = rng.standard_normal(n)
+    x *= np.where(pick1, s1, s2)
+    x += np.where(pick1, mu1, mu2)
     return PointCloud(x)
 
 

@@ -28,7 +28,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .density import DensityModel, _as_cloud, _as_point, _as_queries, _frozen, density_at, fit
+from .density import (DensityModel, PointCloud, _as_cloud, _as_point, _as_queries,
+                      _checked_points, _frozen, density_at, fit)
 from .shift import (
     AnalyticDensity,
     ShiftOperator,
@@ -407,19 +408,35 @@ _BALL_RADIUS = 0.05
 
 
 def _in_ball(points: np.ndarray, centre: np.ndarray, radius: float) -> np.ndarray:
-    """Whether each row of `points` lies in the closed ball B(centre, radius)."""
-    return ((points - centre) ** 2).sum(axis=1) <= radius * radius
+    """Whether each row of `points` lies in the closed ball B(centre, radius).
+
+    The squared coordinate differences are added in coordinate order into
+    one (n,) buffer, so no (n, d) temporary is formed.
+    """
+    d2 = np.subtract(points[:, 0], centre[0, 0])
+    np.square(d2, out=d2)
+    for j in range(1, points.shape[1]):
+        diff = np.subtract(points[:, j], centre[0, j])
+        d2 += np.square(diff, out=diff)
+    return d2 <= radius * radius
 
 
 def geometric_density_at(sample, x, radius: float) -> float:
-    """Ball-count density estimate: points in B(x, radius) over n * ball volume."""
+    """Ball-count density estimate: points in B(x, radius) over n * ball volume.
+
+    `sample` is a PointCloud or an array-like held to its point rule; an
+    array is read where it lies, without a copy.
+    """
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
-    cloud = _as_cloud(sample)
-    d = cloud.dim
-    count = int(_in_ball(cloud.points, _as_point(x, d), radius).sum())
+    if isinstance(sample, PointCloud):
+        pts = sample.points
+    else:
+        pts = _checked_points(np.asarray(sample, dtype=float))
+    n, d = pts.shape
+    count = int(np.count_nonzero(_in_ball(pts, _as_point(x, d), radius)))
     vball = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * radius**d
-    return count / (cloud.size * vball)
+    return count / (n * vball)
 
 
 def mode_density_ratio_curve(density: AnalyticDensity, mode, h_grid: Sequence[float],

@@ -178,6 +178,12 @@ def _pooled_statistic(which, xa, ya, sigma=None):
     return float(within_x + within_y - 2.0 * cross), matrix
 
 
+def _check_alpha(alpha) -> None:
+    """Refuse a test level outside (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class TestResult:
     __test__ = False  # not a pytest case, despite the name
@@ -192,6 +198,7 @@ class TestResult:
             raise ValueError("p_value must lie in (0, 1]")
         if self.n_permutations < 1:
             raise ValueError("n_permutations must be positive")
+        _check_alpha(self.alpha)
 
     @property
     def reject(self) -> bool:
@@ -223,8 +230,7 @@ def permutation_test(stat, x, y, n_perm=999, rng_seed=0, alpha=0.05) -> TestResu
     xa, ya = _sample_pair(x, y)
     if n_perm < 99:
         raise ValueError("n_perm must be at least 99")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     rng = np.random.default_rng(rng_seed)
     n, m = xa.shape[0], ya.shape[0]
     total = n + m

@@ -176,6 +176,21 @@ def test_load_dataset_without_labels(tmp_path):
     assert labels is None
 
 
+@pytest.mark.parametrize("header", [False, True])
+def test_load_dataset_refuses_labels_that_are_not_whole(tmp_path, header):
+    f = tmp_path / "seeds.csv"
+    _fake_seeds_csv(f, with_label=True)
+    rows = f.read_text().splitlines()
+    for i, label in [(4, "1.5"), (9, "2.9")]:
+        rows[i] = rows[i].rsplit(",", 1)[0] + "," + label
+    if header:
+        rows.insert(0, ",".join(f"c{j}" for j in range(8)))
+    f.write_text("\n".join(rows) + "\n")
+    line = 6 if header else 5
+    with pytest.raises(CliError, match=rf"{f}: line {line}: label 1.5 is not a whole number"):
+        load_dataset("seeds", str(f))
+
+
 def test_load_dataset_shape_mismatch(tmp_path):
     f = tmp_path / "seeds.csv"
     np.savetxt(f, np.zeros((100, 7)), delimiter=",", fmt="%.3g")

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from msdenoise import density
+from msdenoise import density, shift
 from msdenoise import (
     AnalyticDensity,
     ShiftOperator,
@@ -562,3 +562,23 @@ def test_ratio_step_far_field_takes_max_shifted_weights():
     assert np.array_equal(np.delete(out, 2, axis=0), shift_step(op, near))
     assert np.array_equal(out[2], got)
     assert np.array_equal(op.step(batch), out)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [7, 300, 9000])
+def test_far_field_weights_take_the_kernel_block_distances(d, n):
+    """The max-shifted weights keep the bits of exponents summed over the
+    coordinates in order, as `density._sq_distances` sums them."""
+    rng = np.random.default_rng(10 * d + n)
+    cols = np.ascontiguousarray(3.0 * rng.normal(size=(n, d)).T)
+    for _ in range(3):
+        q = 40.0 * rng.normal(size=d)
+        h = 0.05 + rng.random()
+        expo = np.square(cols - q[:, None]).sum(axis=0) * (-0.5 / (h * h))
+        want = np.exp(expo - expo.max())
+        got = np.zeros(n)
+        shift._far_field_weights(cols, h, q, got)
+        assert np.array_equal(got, want)
+    untouched = np.full(n, 7.0)
+    shift._far_field_weights(cols, 1.0, np.full(d, np.nan), untouched)
+    assert np.all(untouched == 7.0)

@@ -65,6 +65,19 @@ def test_uniform_noise_rejects_empty_box():
         gen_uniform_noise(10, [0.0, 0.0], [0.0, 1.0])
 
 
+@pytest.mark.parametrize("low, high", [([0.0], [np.inf]), ([-np.inf], [0.0]),
+                                       ([0.0, -np.inf], [1.0, np.inf]),
+                                       ([-1e308], [1e308])])
+def test_uniform_noise_refuses_an_infinite_or_overflowing_box(low, high):
+    # numpy's uniform draw needs a finite width high - low; the box is
+    # refused before the generator is touched
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"box from .* must be finite"):
+        gen_uniform_noise(3, low, high, rng_seed=rng)
+    assert rng.bit_generator.state == state
+
+
 def test_spiral_even_count_required():
     with pytest.raises(ValueError):
         gen_spiral(301)
@@ -132,6 +145,35 @@ def test_gmm_1d_component_proportion():
     pc = gen_gmm_1d(n, mix=0.7, mu1=0.0, mu2=5.0, rng_seed=13)
     frac_low = float((pc.points[:, 0] < 2.5).mean())
     assert abs(frac_low - 0.7) < 4.0 * np.sqrt(0.7 * 0.3 / n)
+
+
+@pytest.mark.parametrize("mix", [0.0, 0.7, 1.0])
+def test_gmm_1d_equals_the_two_branch_formula(mix):
+    # the in-place draw keeps every bit of np.where(pick, mu1 + s1 z, mu2 + s2 z)
+    for params in [(0.0, 5.0, 1.0, 1.0), (-1.3, 2.1, 0.7, 1.9)]:
+        mu1, mu2, s1, s2 = params
+        rng = np.random.default_rng(21)
+        pick1 = rng.random(5000) < mix
+        z = rng.standard_normal(5000)
+        want = np.where(pick1, mu1 + s1 * z, mu2 + s2 * z)
+        got = gen_gmm_1d(5000, mix, mu1, mu2, s1, s2, rng_seed=21).points[:, 0]
+        assert np.array_equal(got, want)
+
+
+def test_gmm_1d_draw_peak_memory():
+    # the draw holds the output and one float temporary, then the cloud's
+    # copy: at most 2.5 population-sized float arrays at once
+    import tracemalloc
+
+    n = 200_000
+    gen_gmm_1d(10)
+    tracemalloc.start()
+    try:
+        gen_gmm_1d(n, rng_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * 8
 
 
 def test_gmm_1d_validation_and_determinism():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -215,6 +216,49 @@ def test_geometric_density_takes_one_point():
         lab.geometric_density_at(x2, [[0.0, 0.0], [1.0, 1.0]], 0.5)
     with pytest.raises(ValueError, match="scalar query only valid for 1-D models"):
         lab.geometric_density_at(x2, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ball_membership_equals_the_summed_squares(d):
+    rng = np.random.default_rng(d)
+    pts = rng.normal(size=(3000, d))
+    centre = rng.normal(size=(1, d))
+    r = 0.9
+    want = ((pts - centre) ** 2).sum(axis=1) <= r * r
+    assert np.array_equal(lab._in_ball(pts, centre, r), want)
+    assert lab.geometric_density_at(pts, centre[0], r) == lab.geometric_density_at(
+        PointCloud(pts), centre[0], r)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[0.0], [np.nan], [1.0]]),
+    np.array([0.0, np.inf]),
+    np.empty((0, 1)),
+    np.empty((4, 0)),
+    np.zeros((2, 2, 1)),
+    [[0.0], [-np.inf]],
+])
+def test_ball_count_refuses_what_a_point_cloud_refuses(bad):
+    with pytest.raises(ValueError) as refused:
+        PointCloud(bad)
+    with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+        lab.geometric_density_at(bad, [0.0], 0.5)
+
+
+def test_ball_count_peak_memory():
+    # the count reads the sample where it lies and sums into one (n,) buffer
+    import tracemalloc
+
+    n = 200_000
+    x = np.random.default_rng(3).normal(size=(n, 1))
+    lab.geometric_density_at(x[:10], [0.0], 0.1)
+    tracemalloc.start()
+    try:
+        lab.geometric_density_at(x, [0.0], 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * n * 8
 
 
 @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0])

@@ -351,6 +351,11 @@ class TestPermutationTest:
         with pytest.raises(ValueError):
             TestResult(1.0, 0.5, 0, 0.05)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, -0.1, math.nan])
+    def test_result_refuses_an_alpha_outside_the_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            TestResult(1.0, 0.5, 99, alpha)
+
 
 def test_msd_pipeline_contracts():
     rng = np.random.default_rng(8)
