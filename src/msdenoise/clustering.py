@@ -3,9 +3,10 @@ before/after-denoising clustering experiments.
 
 Three classic algorithms (k-means, spectral, agglomerative) wrapped behind a
 common label container, plus the pair-counting ARI used to score partitions
-against ground truth.  All three are deterministic functions of their inputs
-and the seed.  `run_clustering_case` and `run_dataset_eval` score one of them
-before and after one mean shift sweep.
+against ground truth; spectral takes its scale and its affinities, in place,
+from one matrix (`density._pair_sq_distances`).  All three are deterministic
+functions of their inputs and the seed.  `run_clustering_case` and
+`run_dataset_eval` score one of them before and after one mean shift sweep.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import _as_cloud, _by_column, _frozen, _sq_distances, fit, select_bandwidth_scv
+from .density import (_as_cloud, _by_column, _frozen, _median_pair_distance, _pair_sq_distances,
+                      _sq_distances, fit, select_bandwidth_scv)
 from .shift import ShiftOperator
 from .synthetic import _CASES, _generate_case, _rng
 
@@ -174,41 +176,24 @@ def kmeans(data, k, rng_seed=0) -> LabelSet:
     return LabelSet(best, k)
 
 
-def _auto_sigma(pair):
-    """Median of the pair distances `pair`: the automatic affinity scale."""
-    med = float(np.median(pair))
-    if med <= 0.0:
-        raise ValueError("cannot pick a bandwidth: the points have zero spread")
-    return med
-
-
-def _affinity(pair, sigma, knn=None):
-    """Gaussian affinity matrix, zero diagonal, optionally kNN-sparsified.
-
-    `pair` holds the condensed pair distances and is overwritten.  `knn`,
-    when given, must lie in 1..n-1; `spectral` checks it.
-    """
-    from scipy.spatial.distance import squareform
-
+def _affinity(sq, sigma, knn=None):
+    """Gaussian affinities exp(-d^2 / 2 sigma^2), zero diagonal, optionally
+    kNN-sparsified, in place of the squared pair distances `sq`.  `knn`, when
+    given, must lie in 1..n-1; `spectral` checks it."""
+    # no point is its own neighbour, and exp(-inf) zeroes the diagonal
+    np.fill_diagonal(sq, np.inf)
     if knn is not None:
-        dist = squareform(pair)
-        np.fill_diagonal(dist, np.inf)
-        # a copy, so the n x n index array is freed with the distances
-        nearest = np.argpartition(dist, knn - 1, axis=1)[:, :knn].copy()
-        del dist
-    # exp(-d^2 / 2 sigma^2) in place over the n(n-1)/2 condensed distances;
-    # squareform zeroes the diagonal
-    np.square(pair, out=pair)
-    pair /= -2.0 * sigma**2
-    aff = squareform(np.exp(pair, out=pair))
+        # a copy, so the n x n index array is freed before the affinities
+        nearest = np.argpartition(sq, knn - 1, axis=1)[:, :knn].copy()
+    # d^2 as the square of the rounded d: labels on tied eigenvalues follow last bits
+    np.square(np.sqrt(sq, out=sq), out=sq)
+    sq /= -2.0 * sigma**2
+    np.exp(sq, out=sq)
     if knn is not None:
-        n = aff.shape[0]
-        keep = np.zeros((n, n), dtype=bool)
-        keep[np.arange(n)[:, None], nearest] = True
-        # union symmetrization: keep the edge if either endpoint wants it
-        keep |= keep.T
-        aff *= keep
-    return aff
+        keep = np.zeros(sq.shape, dtype=bool)
+        np.put_along_axis(keep, nearest, True, axis=1)
+        keep |= keep.T  # union: keep the edge if either endpoint wants it
+        sq *= keep
 
 
 def _n_components(adj) -> int:
@@ -255,11 +240,10 @@ def _normalize(aff):
         rows *= 0.5
 
 
-# The most memory `spectral` holds at once is in the kNN path of `_affinity`:
-# the condensed distances with the square distance matrix and its n x n
-# argpartition index, 2.5 n^2 8-byte words by tracemalloc at n = 2000 (the
-# dense path peaks at 1.5 n^2 words, while squareform builds the affinities).
-# At this limit each n x n array is 512 MiB, about 1.3 GiB together.
+# The most memory `spectral` holds at once is in the kNN path of `_affinity`,
+# the squared pair distances and their n x n argpartition index: 2.0 n^2 words
+# by tracemalloc at n = 2000 (1.5 with the automatic scale's upper triangle,
+# 1.25 with the dense graph's edges).  At this limit an n x n array is 512 MiB.
 _MAX_SPECTRAL_POINTS = 8192
 
 
@@ -280,7 +264,6 @@ def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
     outside 1..n-1, raise ValueError before any pairwise distance is taken.
     """
     from scipy.linalg import eigh
-    from scipy.spatial.distance import pdist
 
     pts = _as_cloud(data).points
     n = pts.shape[0]
@@ -305,14 +288,15 @@ def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
     if not auto:
         sigma = float(affinity_sigma)
         if not 0.0 < sigma < np.inf:
-            raise ValueError("affinity_sigma must be positive")
+            raise ValueError(f"affinity_sigma must be positive and finite, got {sigma}")
 
-    # one pass over the pairs serves the automatic scale and the affinities
-    pair = pdist(pts)
+    # one matrix serves the automatic scale, then becomes the affinities
+    aff = _pair_sq_distances(pts)
     if auto:
-        sigma = _auto_sigma(pair)
-    aff = _affinity(pair, sigma, knn)
-    del pair  # overwritten by the affinities; freed before the eigensolve
+        sigma = _median_pair_distance(aff)
+        if sigma <= 0.0:
+            raise ValueError("cannot pick a bandwidth: the points have zero spread")
+    _affinity(aff, sigma, knn)
     # counted before scaling, which can underflow an edge to zero
     n_comp = _n_components(aff > 0.0)
     if n_comp > k:

@@ -277,13 +277,42 @@ def _differences(out: np.ndarray, row: np.ndarray, q: np.ndarray) -> None:
 
 def _sq_distances(out: np.ndarray, scratch: np.ndarray, cols: np.ndarray, q: np.ndarray) -> None:
     """``out[i, k] = ||X_k - q_i||^2``, summed over the coordinates in order
-    (`cols` is the data as ``(d, n)``; `scratch` is a buffer like `out`)."""
+    (`cols` is the data as ``(d, n)``; `scratch`, a buffer like `out`, is
+    used only when d > 1)."""
     _differences(out, cols[0], q[:, 0])
     np.square(out, out=out)
     for j in range(1, cols.shape[0]):
         _differences(scratch, cols[j], q[:, j])
         np.square(scratch, out=scratch)
         np.add(out, scratch, out=out)
+
+
+def _pair_sq_distances(points: np.ndarray) -> np.ndarray:
+    """The (n, n) squared pair distances of an (n, d) sample, by `_sq_distances`
+    in row blocks of about `_BLOCK_FLOATS`: exactly 0 on the diagonal, and
+    exactly symmetric, as a difference and its negation square alike."""
+    n = points.shape[0]
+    cols = np.ascontiguousarray(points.T)
+    rows = max(1, _BLOCK_FLOATS // n)
+    sq, scratch = np.empty((n, n)), np.empty((min(rows, n), n))
+    for lo in range(0, n, rows):
+        block = sq[lo : lo + rows]
+        _sq_distances(block, scratch[: block.shape[0]], cols, points[lo : lo + rows])
+    return sq
+
+
+def _median_pair_distance(sq: np.ndarray) -> float:
+    """Median pair distance of the squared pair distances `sq`, 0.0 if there
+    are no pairs: the roots of the one or two middle entries of the upper
+    triangle (copied out row by row, then partitioned in place), averaged as
+    `np.median` does."""
+    upper = np.concatenate([row[i + 1 :] for i, row in enumerate(sq)])
+    size = upper.size
+    if not size:
+        return 0.0
+    kth = [size // 2] if size % 2 else [size // 2 - 1, size // 2]
+    upper.partition(kth)
+    return float(np.median(np.sqrt(upper[kth])))
 
 
 def _row_sums(w: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:

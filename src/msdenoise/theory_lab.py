@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .density import (DensityModel, PointCloud, _as_cloud, _as_point, _as_queries,
-                      _checked_points, _frozen, density_at, fit)
+                      _checked_points, _frozen, _sq_distances, density_at, fit)
 from .shift import (
     AnalyticDensity,
     ShiftOperator,
@@ -408,17 +408,13 @@ _BALL_RADIUS = 0.05
 
 
 def _in_ball(points: np.ndarray, centre: np.ndarray, radius: float) -> np.ndarray:
-    """Whether each row of `points` lies in the closed ball B(centre, radius).
-
-    The squared coordinate differences are added in coordinate order into
-    one (n,) buffer, so no (n, d) temporary is formed.
-    """
-    d2 = np.subtract(points[:, 0], centre[0, 0])
-    np.square(d2, out=d2)
-    for j in range(1, points.shape[1]):
-        diff = np.subtract(points[:, j], centre[0, j])
-        d2 += np.square(diff, out=diff)
-    return d2 <= radius * radius
+    """Whether each row of `points` lies in the closed ball B(centre, radius),
+    from `_sq_distances` of `points` where it lies into one (1, n) buffer and,
+    in d > 1, its scratch row: no (n, d) temporary is formed."""
+    d2 = np.empty((1, points.shape[0]))
+    scratch = np.empty_like(d2) if points.shape[1] > 1 else None
+    _sq_distances(d2, scratch, points.T, centre)
+    return d2[0] <= radius * radius
 
 
 def geometric_density_at(sample, x, radius: float) -> float:

@@ -14,8 +14,9 @@ energy statistic and its permutation test build no pairwise matrix: the test
 scores its permutations `_PERM_BLOCK` at a time, in one index and one value
 buffer of `_PERM_BLOCK` x N numbers that it allocates once.
 Energy for d >= 2 and MMD, direct and permuted alike, come from one pooled
-N x N matrix and its size limit, `_MAX_POOLED_FLOATS`: a direct statistic is
-the observed value of the permutation route.
+N x N matrix, in place of its squared pair distances (`_pair_sq_distances`),
+and its size limit, `_MAX_POOLED_FLOATS`: a direct statistic is the observed
+value of the permutation route.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import _as_cloud, _frozen, fit, select_bandwidth_scv
+from .density import (_as_cloud, _frozen, _median_pair_distance, _pair_sq_distances, fit,
+                      select_bandwidth_scv)
 from .shift import ShiftOperator
 from .synthetic import _NOISE_HIGH, _NOISE_LOW, _rng, gen_gmm_1d
 
@@ -100,21 +102,14 @@ def _sorted_energy(z, ranks, n, grand, weights, values):
     return n * m / z.size * (2.0 * s_xy / (n * m) - s_xx / n**2 - s_yy / m**2)
 
 
-def _median_distance(sq_dists) -> float:
-    """Median of the distances whose squares are `sq_dists`.
-
-    The root is monotone, so the one or two middle squared distances give
-    the median; their roots, averaged as `np.median` does, are the bits of
-    `np.median(pdist(pooled))`.
-    """
-    size = sq_dists.size
-    kth = [size // 2] if size % 2 else [size // 2 - 1, size // 2]
-    med = float(np.median(np.sqrt(np.partition(sq_dists, kth)[kth]))) if size else 0.0
+def _median_distance(sq) -> float:
+    """The automatic kernel scale: the median pair distance of the squared
+    pair distances `sq`, or for a degenerate pool (mostly duplicated points)
+    the least positive distance, or unit scale if every point coincides."""
+    med = _median_pair_distance(sq)
     if med > 0.0:
         return med
-    positive = sq_dists[sq_dists > 0.0]
-    # degenerate pools (mostly duplicated points): fall back to the smallest
-    # positive spacing, or unit scale if every point coincides
+    positive = sq[sq > 0.0]
     return float(np.sqrt(positive.min())) if positive.size else 1.0
 
 
@@ -130,14 +125,15 @@ def mmd2_biased(x, y, kernel_sigma="auto") -> float:
     if kernel_sigma != "auto":
         sigma = float(kernel_sigma)
         if not 0.0 < sigma < np.inf:
-            raise ValueError("kernel_sigma must be positive")
+            raise ValueError(f"kernel_sigma must be positive and finite, got {sigma}")
     return _pooled_statistic("mmd", xa, ya, sigma)[0]
 
 
-# The pooled route holds at most 1.5 (n+m)^2 + 2 (n+m) n_perm float64 at once
-# (the condensed pair array beside the square matrix, then the permutation
-# indicator and its product with the matrix; tracemalloc at n+m = 2000).  Each
-# term is kept under this limit: about 1.25 GiB in all.
+# The pooled route holds at most 1.5 (n+m)^2 float64 as it builds its matrix
+# (the squared distances beside the copy of their upper triangle that picks
+# the MMD scale), then (n+m)^2 + 2 (n+m) n_perm (the matrix, the permutation
+# indicator and their product; tracemalloc at n+m = 2000).  Each term is kept
+# under this limit: about 1 GiB in all.
 _MAX_POOLED_FLOATS = 1 << 26
 
 
@@ -145,11 +141,11 @@ def _pooled_statistic(which, xa, ya, sigma=None):
     """The statistic `which` of X against Y, and the pooled pair matrix.
 
     Energy takes the distance matrix of the pooled sample, MMD the gaussian
-    kernel matrix at scale `sigma` (None: the median pair distance), both
-    from one `pdist`.  Each block mean is taken over a contiguous copy, so it
-    sums in the order of a per-sample matrix rather than a strided view.  A
-    matrix of more than `_MAX_POOLED_FLOATS` entries raises ValueError before
-    any distance is taken.
+    kernel matrix at scale `sigma` (None: the median pair distance), both in
+    place of its squared pair distances.  Each block mean is taken over a
+    contiguous copy, so it sums in the order of a per-sample matrix rather
+    than a strided view.  A matrix of more than `_MAX_POOLED_FLOATS` entries
+    raises ValueError before any distance is taken.
     """
     n, m = xa.shape[0], ya.shape[0]
     total = n + m
@@ -158,18 +154,12 @@ def _pooled_statistic(which, xa, ya, sigma=None):
             f"the pooled statistics build an (n+m) x (n+m) matrix; "
             f"n+m={total} exceeds the limit of {_MAX_POOLED_FLOATS} entries"
         )
-    from scipy.spatial.distance import pdist, squareform
-
-    pooled = np.vstack([xa, ya])
+    matrix = _pair_sq_distances(np.vstack([xa, ya]))
     if which == "energy":
-        matrix = squareform(pdist(pooled))
-    else:
-        sq_dists = pdist(pooled, "sqeuclidean")
-        if sigma is None:
-            sigma = _median_distance(sq_dists)
-        sq_dists *= -0.5 / sigma**2
-        matrix = squareform(np.exp(sq_dists, out=sq_dists))
-        np.fill_diagonal(matrix, 1.0)
+        np.sqrt(matrix, out=matrix)
+    else:  # exp(0) = 1 on the diagonal
+        matrix *= -0.5 / (_median_distance(matrix) if sigma is None else sigma) ** 2
+        np.exp(matrix, out=matrix)
     cross = np.ascontiguousarray(matrix[:n, n:]).mean()
     within_x = np.ascontiguousarray(matrix[:n, :n]).mean()
     within_y = np.ascontiguousarray(matrix[n:, n:]).mean()

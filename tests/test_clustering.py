@@ -9,7 +9,6 @@ from msdenoise.clustering import (
     LabelSet,
     _affinity,
     _assign,
-    _auto_sigma,
     _denoised,
     _kmeanspp,
     _lloyd,
@@ -23,12 +22,20 @@ from msdenoise.clustering import (
     run_dataset_eval,
     spectral,
 )
+from msdenoise.density import _pair_sq_distances
 from msdenoise.synthetic import _generate_case
 
 
 def affinity(pts, sigma, knn=None):
-    """`_affinity` over the pair distances of `pts`, as `spectral` calls it."""
-    return _affinity(pdist(pts), sigma, knn)
+    """`_affinity` over the squared pair distances of `pts`, as `spectral` calls it."""
+    aff = _pair_sq_distances(pts)
+    _affinity(aff, sigma, knn)
+    return aff
+
+
+def median_distance(pts):
+    """The automatic affinity scale by its definition: the median pair distance."""
+    return float(np.median(pdist(pts)))
 
 
 def two_blobs(n_per=50, gap=10.0, seed=0):
@@ -292,13 +299,10 @@ class TestSpectral:
         assert np.array_equal(doubled, expect)
 
     def test_size_limit_fails_before_allocating(self, monkeypatch):
-        import scipy.spatial.distance
-
         def refuse(*args, **kwargs):
             raise AssertionError("pairwise distances computed")
 
-        monkeypatch.setattr(scipy.spatial.distance, "pdist", refuse)
-        monkeypatch.setattr(scipy.spatial.distance, "squareform", refuse)
+        monkeypatch.setattr(clustering, "_pair_sq_distances", refuse)
         limit = clustering._MAX_SPECTRAL_POINTS
         pts = np.zeros((limit + 1, 1))
         with pytest.raises(ValueError, match=f"limit of {limit} points"):
@@ -311,26 +315,63 @@ class TestSpectral:
             with pytest.raises(ValueError, match="knn must be in 1..19"):
                 spectral(pts, 2, knn=knn)
 
+    def test_dense_affinity_peak_memory(self, monkeypatch):
+        # the squared pair distances become the affinities in place, so the
+        # build holds one n x n array and a block of scratch
+        import tracemalloc
+
+        class Built(Exception):
+            pass
+
+        n = 2000
+        pts = np.random.default_rng(0).normal(size=(n, 2))
+        spectral(pts[:10], 2, affinity_sigma=1.0)  # imports outside the trace
+        real, peaks = clustering._affinity, []
+
+        def spy(*args):
+            real(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            raise Built
+
+        monkeypatch.setattr(clustering, "_affinity", spy)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Built):
+                spectral(pts, 2, affinity_sigma=1.0)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] <= 1.1 * n * n * 8
+
     def test_auto_sigma_shares_the_pair_distances(self, monkeypatch):
-        import scipy.spatial.distance
+        shapes, medians = [], []
+        real_pairs = clustering._pair_sq_distances
+        real_median = clustering._median_pair_distance
 
-        shapes = []
-        real = scipy.spatial.distance.pdist
-
-        def spy(x, *args, **kwargs):
+        def spy_pairs(x):
             shapes.append(x.shape)
-            return real(x, *args, **kwargs)
+            return real_pairs(x)
 
-        monkeypatch.setattr(scipy.spatial.distance, "pdist", spy)
+        def spy_median(sq):
+            sigma = real_median(sq)
+            medians.append(sigma)
+            return sigma
+
+        monkeypatch.setattr(clustering, "_pair_sq_distances", spy_pairs)
+        monkeypatch.setattr(clustering, "_median_pair_distance", spy_median)
         pts, _ = two_blobs(n_per=30)
         for knn in (None, 10):
             shapes.clear()
+            medians.clear()
             spectral(pts, 2, knn=knn)
             assert shapes == [(60, 2)]
+            assert medians == [median_distance(pts)]
         # above 500 points too: the scale is the median of the same distances
         shapes.clear()
-        spectral(two_blobs(n_per=260)[0], 2)
+        medians.clear()
+        big = two_blobs(n_per=260)[0]
+        spectral(big, 2)
         assert shapes == [(520, 2)]
+        assert medians == [median_distance(big)]
 
     def test_disconnected_graph_warns(self):
         rng = np.random.default_rng(0)
@@ -350,10 +391,13 @@ class TestSpectral:
             spectral(pts, 2, knn=4)
 
     def test_infinite_sigma_refused(self):
-        # every affinity would be 1: a graph that cannot tell the blobs apart
+        # an infinite scale makes every affinity 1: a graph that cannot tell
+        # the blobs apart; a NaN one makes none defined
         pts, _ = two_blobs(10)
-        with pytest.raises(ValueError, match="affinity_sigma must be positive"):
-            spectral(pts, 2, affinity_sigma=np.inf)
+        for sigma in (np.inf, np.nan):
+            with pytest.raises(ValueError,
+                               match=f"affinity_sigma must be positive and finite, got {sigma}"):
+                spectral(pts, 2, affinity_sigma=sigma)
 
     def test_affinity_matches_dense_formula(self):
         from scipy.spatial.distance import cdist
@@ -420,7 +464,7 @@ def normalized_reference(aff):
 def spectral_full_reference(pts, k, affinity_sigma, knn=None, rng_seed=0):
     """`spectral` with the full spectrum from np.linalg.eigh."""
     if affinity_sigma == "auto":
-        affinity_sigma = _auto_sigma(pdist(pts))
+        affinity_sigma = median_distance(pts)
     m = normalized_reference(affinity(pts, affinity_sigma, knn))
     rows = np.linalg.eigh(m)[1][:, -k:]
     norms = np.linalg.norm(rows, axis=1)
@@ -459,7 +503,7 @@ class TestSpectralSubsetSolver:
         for name, pts, _, kw in self.cases():
             sigma = kw["affinity_sigma"]
             if sigma == "auto":
-                sigma = _auto_sigma(pdist(pts))
+                sigma = median_distance(pts)
             aff = affinity(pts, sigma, kw.get("knn"))
             want = normalized_reference(aff)
             _normalize(aff)

@@ -124,6 +124,19 @@ def test_differences_match_broadcast_subtraction(n, rows):
         assert np.getbufsize() == before
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 16, 257])
+def test_pair_sq_distances_match_scipy(d, offset):
+    """The pair matrix, filled in uneven row blocks, has the bits of scipy's
+    squared distances, and its roots those of scipy's distances."""
+    from scipy.spatial.distance import pdist, squareform
+
+    x = np.random.default_rng(d).normal(size=(300, d)) + offset
+    sq = density._pair_sq_distances(x)
+    assert np.array_equal(sq, squareform(pdist(x, "sqeuclidean")))
+    assert np.array_equal(np.sqrt(sq), squareform(pdist(x)))
+
+
 @pytest.mark.parametrize("n", [1, 1000, 8192, 8193, 12345, 40000])
 def test_row_sums_are_per_row_and_accurate(n):
     """`_row_sums` of a block equals each row's own call and the exact sum."""

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from msdenoise import cli, twosample
 from msdenoise.twosample import (
@@ -90,7 +90,7 @@ class TestMMD:
     def test_auto_sigma_is_pooled_median(self):
         rng = np.random.default_rng(5)
         x, y = rng.normal(size=(12, 1)), rng.normal(2.0, 1.0, (9, 1))
-        sigma = _median_distance(pdist(np.vstack([x, y]), "sqeuclidean"))
+        sigma = _median_distance(squareform(pdist(np.vstack([x, y]), "sqeuclidean")))
         assert mmd2_biased(x, y) == mmd2_biased(x, y, kernel_sigma=sigma)
 
     @pytest.mark.parametrize("pool", [
@@ -106,7 +106,7 @@ class TestMMD:
         med = float(np.median(d)) if d.size else 0.0
         positive = d[d > 0.0]
         want = med if med > 0.0 else (float(positive.min()) if positive.size else 1.0)
-        assert _median_distance(pdist(pool, "sqeuclidean")) == want
+        assert _median_distance(squareform(pdist(pool, "sqeuclidean"))) == want
 
     def test_degenerate_pool_fallback(self):
         # all points coincide: any sigma gives a zero statistic
@@ -118,10 +118,13 @@ class TestMMD:
             mmd2_biased([0.0], [1.0], kernel_sigma=0.0)
 
     def test_infinite_sigma_refused(self):
-        # every kernel value would be 1, so samples 3 sd apart would score 0
+        # an infinite scale makes every kernel value 1, so samples 3 sd apart
+        # would score 0; a NaN one makes none defined
         x = np.random.default_rng(6).normal(size=(50, 1))
-        with pytest.raises(ValueError, match="kernel_sigma must be positive"):
-            mmd2_biased(x, x + 3.0, kernel_sigma=math.inf)
+        for sigma in (math.inf, math.nan):
+            with pytest.raises(ValueError,
+                               match=f"kernel_sigma must be positive and finite, got {sigma}"):
+                mmd2_biased(x, x + 3.0, kernel_sigma=sigma)
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +214,23 @@ class TestPermutationTest:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("which,d", [("energy", 2), ("mmd", 1), ("mmd", 2)])
+    def test_pooled_statistic_peak_memory(self, which, d):
+        # the pooled matrix is taken in place of the squared pair distances:
+        # one N x N array, then the contiguous copy of the cross block
+        rng = np.random.default_rng(9)
+        x, y = rng.normal(size=(1000, d)), rng.normal(0.3, 1.0, (1000, d))
+        direct = (energy_statistic if which == "energy"
+                  else lambda a, b: mmd2_biased(a, b, kernel_sigma=1.0))
+        direct(x[:5], y[:5])  # imports outside the trace
+        tracemalloc.start()
+        try:
+            direct(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 2000**2 * 8
 
     @pytest.mark.parametrize("n,m,d", [
         (137, 211, 2), (1000, 1300, 1), (137, 211, 3), (1000, 1300, 2),
@@ -305,13 +325,10 @@ class TestPermutationTest:
 
     @pytest.mark.parametrize("stat", ["energy", "mmd"])
     def test_size_limit_fails_before_allocating(self, monkeypatch, stat):
-        import scipy.spatial.distance
-
         def refuse(*args, **kwargs):
             raise AssertionError("pairwise distances computed")
 
-        monkeypatch.setattr(scipy.spatial.distance, "cdist", refuse)
-        monkeypatch.setattr(scipy.spatial.distance, "pdist", refuse)
+        monkeypatch.setattr(twosample, "_pair_sq_distances", refuse)
         limit = twosample._MAX_POOLED_FLOATS
         total = math.isqrt(limit) + 1
         d = 2 if stat == "energy" else 1  # 1-D energy builds no pooled matrix
@@ -330,13 +347,10 @@ class TestPermutationTest:
             permutation_test(stat, x, y, n_perm=n_perm)
 
     def test_1d_energy_above_pooled_limit_needs_no_distances(self, monkeypatch):
-        import scipy.spatial.distance
-
         def refuse(*args, **kwargs):
             raise AssertionError("pairwise distances computed")
 
-        monkeypatch.setattr(scipy.spatial.distance, "cdist", refuse)
-        monkeypatch.setattr(scipy.spatial.distance, "pdist", refuse)
+        monkeypatch.setattr(twosample, "_pair_sq_distances", refuse)
         total = math.isqrt(twosample._MAX_POOLED_FLOATS) + 1
         rng = np.random.default_rng(13)
         x = rng.normal(size=(total // 2, 1))
