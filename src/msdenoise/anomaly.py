@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityModel, _as_cloud, _frozen, fit, select_bandwidth_scv
+from .density import DensityModel, _as_cloud, _check_words, _frozen, fit, select_bandwidth_scv
 from .shift import ShiftOperator, ShiftTrace, _resolve_tol
 
 
@@ -47,13 +47,6 @@ class AnomalyReport:
         return self.scores.size
 
 
-# anomaly_scores keeps one n-vector of step lengths per iteration and, with
-# keep_traces, the n x d positions before the first and after every
-# iteration; both are stacked into one array at the end, which briefly holds
-# them twice.  At this limit the records alone are 512 MiB.
-_MAX_RECORD_FLOATS = 1 << 26
-
-
 def anomaly_scores(data, model: DensityModel | None = None, tol=None,
                    max_iter: int = 500, keep_traces: bool = False) -> AnomalyReport:
     """Score every point by its total mean shift path length.
@@ -64,21 +57,17 @@ def anomaly_scores(data, model: DensityModel | None = None, tol=None,
     tol.  Points still moving after max_iter steps are flagged unconverged
     and keep their partial-path score: a long wandering path is itself
     evidence of anomaly.  If max_iter x n step lengths, plus (max_iter + 1)
-    x n x d positions with keep_traces, would exceed `_MAX_RECORD_FLOATS`
-    floats, ValueError is raised before any of them is allocated.
+    x n x d positions with keep_traces, are over `_check_words`, ValueError
+    is raised before any of them is allocated.
     """
     pts = _as_cloud(data).points
     n, d = pts.shape
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    records = max_iter * n + ((max_iter + 1) * n * d if keep_traces else 0)
-    if records > _MAX_RECORD_FLOATS:
-        kept = "step lengths and positions" if keep_traces else "step lengths"
-        raise ValueError(
-            f"anomaly_scores keeps the {kept} of every iteration; max_iter={max_iter} "
-            f"over n={n} points needs up to {records} floats, over the limit of "
-            f"{_MAX_RECORD_FLOATS}"
-        )
+    # peak 2.1 records, 2.7 with traces: the per-iteration records, then stacked (tracemalloc)
+    kept = "step lengths and positions" if keep_traces else "step lengths"
+    _check_words(max_iter * n + ((max_iter + 1) * n * d if keep_traces else 0),
+                 f"the {kept} of max_iter={max_iter} iterations over n={n} points")
     if model is None:
         model = fit(pts, select_bandwidth_scv(pts))
     op = ShiftOperator(model)

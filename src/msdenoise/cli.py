@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .anomaly import anomaly_scores, top_k
 from .clustering import run_clustering_case, run_dataset_eval
-from .density import density_at, fit, select_bandwidth_scv, standardize
+from .density import _positive, density_at, fit, select_bandwidth_scv, standardize
 from .shift import ShiftOperator, denoise
 from .synthetic import (
     _CASES,
@@ -53,12 +53,13 @@ class CliError(ValueError):
 def _read_csv(path):
     """Parse a numeric CSV; returns (array, header-or-None).
 
-    Comma separated, UTF-8, optional single header row detected by a
-    non-numeric first row.  Malformed cells are reported with their line and
-    column; non-finite values are rejected.
+    Comma separated, UTF-8 with or without a byte order mark (as Excel
+    saves it), optional single header row detected by a non-numeric first
+    row.  Malformed cells are reported with their line and column;
+    non-finite values are rejected.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [r for r in csv.reader(fh) if r]
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}")
@@ -188,16 +189,13 @@ def _print_report(report, path=None):
 
 
 def _parse_bandwidth(spec):
-    """A --h value: 'scv' or a positive number."""
+    """A --h value: 'scv' or a positive finite number."""
     if spec == "scv":
         return spec
     try:
-        h = float(spec)
+        return _positive(spec, "--h")
     except ValueError:
-        raise CliError(f"--h must be a positive number or 'scv', got {spec!r}")
-    if not h > 0.0:
-        raise CliError(f"--h must be positive, got {h}")
-    return h
+        raise CliError(f"--h must be a positive finite number or 'scv', got {spec!r}")
 
 
 def _resolve_bandwidth(spec, points):

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (_as_cloud, _by_column, _frozen, _median_pair_distance, _pair_sq_distances,
-                      _sq_distances, fit, select_bandwidth_scv)
+from .density import (_BLOCK_FLOATS, _as_cloud, _by_column, _check_words, _frozen,
+                      _median_pair_distance, _pair_sq_distances, _positive, _sq_distances, fit,
+                      select_bandwidth_scv)
 from .shift import ShiftOperator
 from .synthetic import _CASES, _generate_case, _rng
 
@@ -221,13 +222,13 @@ def _normalize(aff):
 
     With s = deg^{-1/2}, entry (i, j) is the mean of (a_ij s_i) s_j and
     (a_ij s_j) s_i: exactly symmetric, and the bits of averaging the scaled
-    matrix with its transpose.  Row blocks of about 32k entries keep the
-    two scaled copies in cache and need no n x n temporary.
+    matrix with its transpose.  Row blocks of about `_BLOCK_FLOATS` entries
+    keep the two scaled copies in cache and need no n x n temporary.
     """
     n = aff.shape[0]
     deg = aff.sum(axis=1)
     s = 1.0 / np.sqrt(np.where(deg > 0.0, deg, 1.0))
-    step = max(1, (1 << 15) // n)
+    step = max(1, _BLOCK_FLOATS // n)
     for i in range(0, n, step):
         rows = aff[i:i + step]
         si = s[i:i + step]
@@ -238,13 +239,6 @@ def _normalize(aff):
         _by_column(np.multiply, y, si, y)
         np.add(x, y, out=rows)
         rows *= 0.5
-
-
-# The most memory `spectral` holds at once is in the kNN path of `_affinity`,
-# the squared pair distances and their n x n argpartition index: 2.0 n^2 words
-# by tracemalloc at n = 2000 (1.5 with the automatic scale's upper triangle,
-# 1.25 with the dense graph's edges).  At this limit an n x n array is 512 MiB.
-_MAX_SPECTRAL_POINTS = 8192
 
 
 def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
@@ -260,8 +254,9 @@ def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
     Fortran-order array LAPACK reads.
     Connected components are counted by breadth-first search on the dense
     graph; if there are more than k a warning is issued and clustering
-    proceeds anyway.  More than `_MAX_SPECTRAL_POINTS` points, or a `knn`
-    outside 1..n-1, raise ValueError before any pairwise distance is taken.
+    proceeds anyway.  An n x n matrix over `_check_words` (more than 8192
+    points), or a `knn` outside 1..n-1, raises ValueError before any pairwise
+    distance is taken.
     """
     from scipy.linalg import eigh
 
@@ -274,11 +269,8 @@ def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
         raise ValueError("need at least k+1 points")
     if k == 1:
         return LabelSet(np.zeros(n, dtype=np.int64), 1)
-    if n > _MAX_SPECTRAL_POINTS:
-        raise ValueError(
-            f"spectral clustering builds n x n matrices; n={n} exceeds the "
-            f"limit of {_MAX_SPECTRAL_POINTS} points"
-        )
+    # peak 2.0 n^2 words with a kNN graph, 1.5 with "auto", 1.25 dense (tracemalloc, n = 2000)
+    _check_words(n * n, f"the n x n matrix of spectral clustering at n={n}")
     if knn is not None:
         knn = int(knn)
         if not 1 <= knn < n:
@@ -286,9 +278,7 @@ def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
 
     auto = affinity_sigma == "auto"
     if not auto:
-        sigma = float(affinity_sigma)
-        if not 0.0 < sigma < np.inf:
-            raise ValueError(f"affinity_sigma must be positive and finite, got {sigma}")
+        sigma = _positive(affinity_sigma, "affinity_sigma")
 
     # one matrix serves the automatic scale, then becomes the affinities
     aff = _pair_sq_distances(pts)
@@ -319,7 +309,11 @@ def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
 
 
 def hierarchical(data, k) -> LabelSet:
-    """Average-linkage agglomerative clustering cut at k clusters."""
+    """Average-linkage agglomerative clustering cut at k clusters.
+
+    The n (n - 1) / 2 condensed pair distances that linkage forms are checked
+    by `_check_words` (more than 11585 points raise ValueError) before it runs.
+    """
     from scipy.cluster import hierarchy
 
     pts = _as_cloud(data).points
@@ -327,6 +321,8 @@ def hierarchical(data, k) -> LabelSet:
     k = int(k)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
+    # peak 1.13 n (n - 1) / 2 words by tracemalloc (n = 1000-3000)
+    _check_words(n * (n - 1) // 2, f"the condensed distances of average linkage at n={n}")
     merge_tree = hierarchy.linkage(pts, method="average")
     flat = hierarchy.fcluster(merge_tree, t=k, criterion="maxclust")
     return LabelSet(flat.astype(np.int64) - flat.min(), k)
@@ -344,10 +340,12 @@ def _label_array(x) -> np.ndarray:
 def ari(a, b) -> float:
     """Adjusted Rand Index between two partitions of the same points.
 
-    Pair-counting index with the Hubert-Arabie chance adjustment.  The
-    adjustment denominator vanishes only when both partitions are
-    all-singletons or both a single block (a single point is both), so the
-    partitions are equal and the index is 1.
+    Pair-counting index with the Hubert-Arabie chance adjustment, from the
+    label pairs that occur (`np.unique`) and the label counts: O(n) memory.
+    Every pair count is a whole number below 2^53, so the sums are exact in
+    any order.  The adjustment denominator vanishes only when both
+    partitions are all-singletons or both a single block (a single point is
+    both), so the partitions are equal and the index is 1.
     """
     la, lb = _label_array(a), _label_array(b)
     if la.shape != lb.shape:
@@ -360,15 +358,14 @@ def ari(a, b) -> float:
 
     _, ia = np.unique(la, return_inverse=True)
     _, ib = np.unique(lb, return_inverse=True)
-    table = np.zeros((ia.max() + 1, ib.max() + 1), dtype=np.int64)
-    np.add.at(table, (ia, ib), 1)
+    _, cells = np.unique(ia * (ib.max() + 1) + ib, return_counts=True)
 
     def comb2(m):
         return m * (m - 1) / 2.0
 
-    within = comb2(table).sum()
-    rows = comb2(table.sum(axis=1)).sum()
-    cols = comb2(table.sum(axis=0)).sum()
+    within = comb2(cells).sum()
+    rows = comb2(np.bincount(ia)).sum()
+    cols = comb2(np.bincount(ib)).sum()
     total = comb2(n)
     expected = rows * cols / total
     max_index = 0.5 * (rows + cols)

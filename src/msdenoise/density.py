@@ -72,6 +72,11 @@ __all__ = [
 # binning uses blocks of the same size.
 _BLOCK_FLOATS = 32_768
 
+# 8-byte words the largest array of a quadratic path (pair matrices, GEMM
+# operands, path records) may hold: 512 MiB.  Each caller of `_check_words`
+# states its peak as a multiple of the size it checks.
+_WORD_BUDGET = 1 << 26
+
 # Columns per `np.einsum` call of a row reduction (`_row_sums`).  einsum
 # hands a row longer than its 8192-element iterator buffer to its inner loop
 # in pieces whose ends depend on where the row sits in the block, and each
@@ -120,6 +125,21 @@ _SCV_BINS_PER_PILOT = 300
 # rest are below 1e-304 of the zero-lag term, and exp of a more negative
 # argument returns subnormals, which are slow.
 _EXP_FLOOR = -700.0
+
+
+def _check_words(words: int, what: str) -> None:
+    """Refuse, before it is allocated, an array of `words` 8-byte words over
+    `_WORD_BUDGET`; `what` says which."""
+    if words > _WORD_BUDGET:
+        raise ValueError(f"{what} needs {words} words, over the limit of {_WORD_BUDGET}")
+
+
+def _positive(value, name: str) -> float:
+    """`value` as a float, refused by `name` unless positive and finite."""
+    v = float(value)
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {v}")
+    return v
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -187,10 +207,7 @@ class DensityModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "data", _as_cloud(self.data))
-        b = float(self.bandwidth)
-        if not math.isfinite(b) or b <= 0.0:
-            raise ValueError(f"bandwidth must be a positive finite real, got {self.bandwidth!r}")
-        object.__setattr__(self, "bandwidth", b)
+        object.__setattr__(self, "bandwidth", _positive(self.bandwidth, "bandwidth"))
 
     @property
     def dim(self) -> int:

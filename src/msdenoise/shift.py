@@ -21,7 +21,6 @@ exactly the same as applying it to each row alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -35,6 +34,7 @@ from .density import (
     _as_queries,
     _frozen,
     _kde_eval,
+    _positive,
     _reduce_kernel_blocks,
     _row_sums,
     _sq_distances,
@@ -144,10 +144,7 @@ class ShiftOperator:
                 tau = self.source.bandwidth
             else:
                 raise ValueError("tau must be given explicitly for analytic sources")
-        tau = float(tau)
-        if not math.isfinite(tau) or tau <= 0.0:
-            raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
-        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "tau", _positive(tau, "tau"))
 
     @property
     def dim(self) -> int:
@@ -282,10 +279,7 @@ def _resolve_tol(op: ShiftOperator, tol: Optional[float]) -> float:
         scale = float(pts.std(axis=0, ddof=1).mean()) if pts.shape[0] > 1 else 0.0
         # single point or fully degenerate data: fall back to an absolute floor
         return 1e-7 * scale if scale > 0.0 else 1e-7
-    tol = float(tol)
-    if not math.isfinite(tol) or tol <= 0.0:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    return tol
+    return _positive(tol, "tol")
 
 
 def shift_until_converged(op: ShiftOperator, x, tol: Optional[float] = None,

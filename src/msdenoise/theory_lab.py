@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .density import (DensityModel, PointCloud, _as_cloud, _as_point, _as_queries,
-                      _checked_points, _frozen, _sq_distances, density_at, fit)
+                      _checked_points, _frozen, _positive, _sq_distances, density_at, fit)
 from .shift import (
     AnalyticDensity,
     ShiftOperator,
@@ -78,8 +78,7 @@ class LevelSetSpec:
     gradient_floor: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.level) and self.level > 0.0):
-            raise ValueError(f"level must be a positive real, got {self.level!r}")
+        object.__setattr__(self, "level", _positive(self.level, "level"))
         if self.boundary_points is not None:
             b = _as_cloud(self.boundary_points).points
             object.__setattr__(self, "boundary_points", b)
@@ -423,8 +422,7 @@ def geometric_density_at(sample, x, radius: float) -> float:
     `sample` is a PointCloud or an array-like held to its point rule; an
     array is read where it lies, without a copy.
     """
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+    radius = _positive(radius, "radius")
     if isinstance(sample, PointCloud):
         pts = sample.points
     else:

@@ -15,8 +15,8 @@ scores its permutations `_PERM_BLOCK` at a time, in one index and one value
 buffer of `_PERM_BLOCK` x N numbers that it allocates once.
 Energy for d >= 2 and MMD, direct and permuted alike, come from one pooled
 N x N matrix, in place of its squared pair distances (`_pair_sq_distances`),
-and its size limit, `_MAX_POOLED_FLOATS`: a direct statistic is the observed
-value of the permutation route.
+under the word budget of `_check_words` (N at most 8192 points): a direct
+statistic is the observed value of the permutation route.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import (_as_cloud, _frozen, _median_pair_distance, _pair_sq_distances, fit,
-                      select_bandwidth_scv)
+from .density import (_as_cloud, _check_words, _frozen, _median_pair_distance,
+                      _pair_sq_distances, _positive, fit, select_bandwidth_scv)
 from .shift import ShiftOperator
 from .synthetic import _NOISE_HIGH, _NOISE_LOW, _rng, gen_gmm_1d
 
@@ -121,20 +121,8 @@ def mmd2_biased(x, y, kernel_sigma="auto") -> float:
     must be positive and finite.
     """
     xa, ya = _sample_pair(x, y)
-    sigma = None
-    if kernel_sigma != "auto":
-        sigma = float(kernel_sigma)
-        if not 0.0 < sigma < np.inf:
-            raise ValueError(f"kernel_sigma must be positive and finite, got {sigma}")
+    sigma = None if kernel_sigma == "auto" else _positive(kernel_sigma, "kernel_sigma")
     return _pooled_statistic("mmd", xa, ya, sigma)[0]
-
-
-# The pooled route holds at most 1.5 (n+m)^2 float64 as it builds its matrix
-# (the squared distances beside the copy of their upper triangle that picks
-# the MMD scale), then (n+m)^2 + 2 (n+m) n_perm (the matrix, the permutation
-# indicator and their product; tracemalloc at n+m = 2000).  Each term is kept
-# under this limit: about 1 GiB in all.
-_MAX_POOLED_FLOATS = 1 << 26
 
 
 def _pooled_statistic(which, xa, ya, sigma=None):
@@ -144,16 +132,13 @@ def _pooled_statistic(which, xa, ya, sigma=None):
     kernel matrix at scale `sigma` (None: the median pair distance), both in
     place of its squared pair distances.  Each block mean is taken over a
     contiguous copy, so it sums in the order of a per-sample matrix rather
-    than a strided view.  A matrix of more than `_MAX_POOLED_FLOATS` entries
-    raises ValueError before any distance is taken.
+    than a strided view.  A matrix over `_check_words` raises ValueError
+    before any distance is taken.
     """
     n, m = xa.shape[0], ya.shape[0]
     total = n + m
-    if total * total > _MAX_POOLED_FLOATS:
-        raise ValueError(
-            f"the pooled statistics build an (n+m) x (n+m) matrix; "
-            f"n+m={total} exceeds the limit of {_MAX_POOLED_FLOATS} entries"
-        )
+    # peak 1.5 (n+m)^2 words with the automatic MMD scale, 1.25 otherwise (tracemalloc, n+m = 2000)
+    _check_words(total * total, f"the pooled (n+m) x (n+m) matrix at n+m={total}")
     matrix = _pair_sq_distances(np.vstack([xa, ya]))
     if which == "energy":
         np.sqrt(matrix, out=matrix)
@@ -285,17 +270,14 @@ def _pooled_permutation_stats(which, xa, ya, n_perm, rng):
     For an indicator u of the X side, the three pair-sums over the symmetric
     pooled matrix M are u'Mu, u'M(1-u) and (1-u)'M(1-u); each permutation then
     costs one matrix-vector product, batched into a single GEMM.  A GEMM
-    operand pair of more than `_MAX_POOLED_FLOATS` entries raises ValueError
-    before any distance is taken.
+    operand pair over `_check_words` raises ValueError before any distance
+    is taken.
     """
     n, m = xa.shape[0], ya.shape[0]
     total = n + m
-    if 2 * total * n_perm > _MAX_POOLED_FLOATS:
-        raise ValueError(
-            f"the pooled permutation statistics hold two (n+m) x n_perm arrays; "
-            f"n+m={total} with n_perm={n_perm} exceeds the limit of "
-            f"{_MAX_POOLED_FLOATS} entries"
-        )
+    # peak (n+m)^2 + 2 (n+m) n_perm words: matrix, indicator, product (tracemalloc, n+m = 2000)
+    _check_words(2 * total * n_perm,
+                 f"the two (n+m) x n_perm GEMM operands at n+m={total} with n_perm={n_perm}")
     observed, matrix = _pooled_statistic(which, xa, ya)
     row_tot = matrix.sum(axis=1)
     grand = float(row_tot.sum())

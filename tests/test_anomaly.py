@@ -133,15 +133,15 @@ def test_dimension_mismatch_and_bad_args():
 def test_record_limit_fails_before_allocating():
     import tracemalloc
 
-    from msdenoise import anomaly
+    from msdenoise.density import _WORD_BUDGET
 
     rng = np.random.default_rng(7)
     data = rng.normal(size=(100, 2))
     model = fit(data, 0.5)
-    too_many = anomaly._MAX_RECORD_FLOATS // 100 + 1
+    too_many = _WORD_BUDGET // 100 + 1
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=str(anomaly._MAX_RECORD_FLOATS)):
+        with pytest.raises(ValueError, match=f"over the limit of {_WORD_BUDGET}"):
             anomaly_scores(data, model, max_iter=too_many)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -149,10 +149,10 @@ def test_record_limit_fails_before_allocating():
     assert peak < 1 << 20
     # the positions kept for traces count against the same limit: this
     # max_iter fits as step lengths alone, but not with two coordinates more
-    max_iter = anomaly._MAX_RECORD_FLOATS // 200
+    max_iter = _WORD_BUDGET // 200
     assert anomaly_scores(data, model, max_iter=max_iter).converged.all()
     with pytest.raises(ValueError, match="positions"):
         anomaly_scores(data, model, max_iter=max_iter, keep_traces=True)
     # the default CLI scene with traces (test_cli) stays well inside the limit
     n, d = default_anomaly_scenario().cloud.points.shape
-    assert 500 * n + 501 * n * d <= anomaly._MAX_RECORD_FLOATS
+    assert 500 * n + 501 * n * d <= _WORD_BUDGET

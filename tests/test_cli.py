@@ -146,6 +146,18 @@ def test_read_csv_headerless_numeric(tmp_path):
     assert np.array_equal(arr, [[1.5, 2.5], [-3.0, 4.0]])
 
 
+def test_read_csv_skips_a_byte_order_mark(tmp_path):
+    # Excel saves UTF-8 CSVs with a BOM, which must not turn row 1 into a header
+    f = tmp_path / "excel.csv"
+    f.write_bytes("1.0,2.0\n3.0,4.0\n5.0,6.0\n".encode("utf-8-sig"))
+    arr, header = _read_csv(str(f))
+    assert header is None
+    assert np.array_equal(arr, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    f.write_bytes("x,y\n1.0,2.0\n".encode("utf-8-sig"))
+    arr, header = _read_csv(str(f))
+    assert header == ["x", "y"] and np.array_equal(arr, [[1.0, 2.0]])
+
+
 # ---------------------------------------------------------------------------
 # reference dataset loading
 
@@ -267,7 +279,8 @@ def test_cluster_eval_refuses_an_infinite_sigma(capsys):
     assert "affinity_sigma must be positive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("h,code", [("wat", 2), ("-1", 2), ("0.3", 0), ("scv", 0)])
+@pytest.mark.parametrize("h,code", [("wat", 2), ("-1", 2), ("inf", 2), ("nan", 2),
+                                    ("0.3", 0), ("scv", 0)])
 def test_cluster_eval_no_msd_still_parses_h(tmp_path, h, code):
     got, rep = run_cli(tmp_path, ["cluster-eval", "--case", "spiral4", "--reps", "1",
                                   "--no-msd", "--h", h])

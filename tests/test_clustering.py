@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from msdenoise.clustering import (
     run_dataset_eval,
     spectral,
 )
-from msdenoise.density import _pair_sq_distances
+from msdenoise.density import _WORD_BUDGET, _pair_sq_distances
 from msdenoise.synthetic import _generate_case
 
 
@@ -62,6 +63,25 @@ def ari_pair_counting(a, b):
     if max_index == expected:
         return None
     return (n11 - expected) / (max_index - expected)
+
+
+def ari_dense_table(a, b):
+    """Oracle: the index from the dense contingency table, one cell per pair
+    of distinct labels, summed in table order."""
+    _, ia = np.unique(a, return_inverse=True)
+    _, ib = np.unique(b, return_inverse=True)
+    table = np.zeros((ia.max() + 1, ib.max() + 1), dtype=np.int64)
+    np.add.at(table, (ia, ib), 1)
+
+    def comb2(m):
+        return m * (m - 1) / 2.0
+
+    within = comb2(table).sum()
+    rows = comb2(table.sum(axis=1)).sum()
+    cols = comb2(table.sum(axis=0)).sum()
+    expected = rows * cols / comb2(len(a))
+    denom = 0.5 * (rows + cols) - expected
+    return 1.0 if denom == 0.0 else float((within - expected) / denom)
 
 
 class TestLabelSet:
@@ -303,11 +323,12 @@ class TestSpectral:
             raise AssertionError("pairwise distances computed")
 
         monkeypatch.setattr(clustering, "_pair_sq_distances", refuse)
-        limit = clustering._MAX_SPECTRAL_POINTS
+        limit = math.isqrt(_WORD_BUDGET)  # 8192 points
         pts = np.zeros((limit + 1, 1))
-        with pytest.raises(ValueError, match=f"limit of {limit} points"):
+        refused = f"n={limit + 1} needs {(limit + 1) ** 2} words, over the limit of {_WORD_BUDGET}"
+        with pytest.raises(ValueError, match=refused):
             spectral(pts, 2)
-        with pytest.raises(ValueError, match=f"limit of {limit} points"):
+        with pytest.raises(ValueError, match=refused):
             spectral(pts, 2, affinity_sigma=1.0, knn=5)
         # a bad knn fails before the auto bandwidth or the graph is built
         pts = np.random.default_rng(0).normal(size=(20, 2))
@@ -531,6 +552,22 @@ class TestHierarchical:
         with pytest.raises(ValueError):
             hierarchical(pts, 6)
 
+    def test_size_limit_fails_before_linkage(self, monkeypatch):
+        from scipy.cluster import hierarchy
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("linkage ran")
+
+        monkeypatch.setattr(hierarchy, "linkage", refuse)
+        # the fewest points whose n (n - 1) / 2 condensed distances exceed the budget
+        n = 11586
+        assert (n - 1) * (n - 2) // 2 <= _WORD_BUDGET < n * (n - 1) // 2
+        with pytest.raises(ValueError, match=f"n={n} needs {n * (n - 1) // 2} words, "
+                                             f"over the limit of {_WORD_BUDGET}"):
+            hierarchical(np.zeros((n, 1)), 2)
+        with pytest.raises(AssertionError, match="linkage ran"):
+            hierarchical(np.zeros((n - 1, 1)), 2)
+
 
 class TestARI:
     def test_hand_case(self):
@@ -561,6 +598,33 @@ class TestARI:
                 continue
             assert ari(a, b) == pytest.approx(want, abs=1e-12)
             checked += 1
+
+    def test_matches_dense_table_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for trial in range(300):
+            n = int(rng.integers(2, 600))
+            a = rng.integers(-5, int(rng.integers(-4, 60)), n) * 1000
+            b = rng.integers(0, int(rng.integers(1, 60)), n)
+            if trial % 10 == 0:  # every point labelled apart: one cell per point
+                b = rng.permutation(n)
+            assert ari(a, b) == ari_dense_table(a, b)
+            assert ari(b, a) == ari_dense_table(b, a)
+
+    def test_singletons_count_in_linear_memory(self):
+        import tracemalloc
+
+        # a dense contingency table of these labels would hold 3.0 n^2 words
+        n = 20_000
+        a, b = np.arange(n), np.random.default_rng(4).permutation(n)
+        ari(a[:10], b[:10])  # imports outside the trace
+        tracemalloc.start()
+        try:
+            got = ari(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == 1.0  # both all-singletons
+        assert peak < 16 * 8 * n
 
     @pytest.mark.filterwarnings("error")
     def test_degenerate_denominator(self):

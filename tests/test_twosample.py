@@ -7,6 +7,7 @@ import pytest
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from msdenoise import cli, twosample
+from msdenoise.density import _WORD_BUDGET
 from msdenoise.twosample import (
     PowerCurve,
     TestResult,
@@ -329,7 +330,7 @@ class TestPermutationTest:
             raise AssertionError("pairwise distances computed")
 
         monkeypatch.setattr(twosample, "_pair_sq_distances", refuse)
-        limit = twosample._MAX_POOLED_FLOATS
+        limit = _WORD_BUDGET
         total = math.isqrt(limit) + 1
         d = 2 if stat == "energy" else 1  # 1-D energy builds no pooled matrix
         x = np.zeros((total // 2, d))
@@ -337,13 +338,14 @@ class TestPermutationTest:
         direct = energy_statistic if stat == "energy" else mmd2_biased
         for run in (lambda: permutation_test(stat, x, y, n_perm=99), lambda: direct(x, y)):
             with pytest.raises(ValueError,
-                               match=f"n\\+m={total} exceeds the limit of {limit} entries"):
+                               match=f"n\\+m={total} needs .* over the limit of {limit}"):
                 run()
         # the indicator and its product with the matrix hold 2 (n+m) n_perm
         # floats: refused before any distance, however small the matrix
         x, y = x[:100], y[:100]
         n_perm = limit // (2 * 200) + 1
-        with pytest.raises(ValueError, match=f"n\\+m=200 with n_perm={n_perm} exceeds the limit"):
+        with pytest.raises(ValueError,
+                           match=f"n\\+m=200 with n_perm={n_perm} needs .* over the limit of {limit}"):
             permutation_test(stat, x, y, n_perm=n_perm)
 
     def test_1d_energy_above_pooled_limit_needs_no_distances(self, monkeypatch):
@@ -351,7 +353,7 @@ class TestPermutationTest:
             raise AssertionError("pairwise distances computed")
 
         monkeypatch.setattr(twosample, "_pair_sq_distances", refuse)
-        total = math.isqrt(twosample._MAX_POOLED_FLOATS) + 1
+        total = math.isqrt(_WORD_BUDGET) + 1
         rng = np.random.default_rng(13)
         x = rng.normal(size=(total // 2, 1))
         y = rng.normal(0.5, 1.0, (total - total // 2, 1))
