@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityModel, _as_cloud, _check_words, _frozen, fit, select_bandwidth_scv
-from .shift import ShiftOperator, ShiftTrace, _resolve_tol
+from .shift import ShiftOperator, ShiftTrace, _shift_paths
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,19 @@ class AnomalyReport:
         return self.scores.size
 
 
+def _per_point(records, ends):
+    """A contiguous array of the first ends[i] of `records` (one array per
+    iteration, indexed by point) for each point i in turn, gathered in
+    sixteen chunks of points so that no copy of all the records is made."""
+    n = ends.size
+    chunk = -(-n // 16)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        block = np.stack([r[lo:hi] for r in records[:ends[lo:hi].max()]], axis=1)
+        for i in range(lo, hi):
+            yield block[i - lo, :ends[i]]
+
+
 def anomaly_scores(data, model: DensityModel | None = None, tol=None,
                    max_iter: int = 500, keep_traces: bool = False) -> AnomalyReport:
     """Score every point by its total mean shift path length.
@@ -64,7 +77,7 @@ def anomaly_scores(data, model: DensityModel | None = None, tol=None,
     n, d = pts.shape
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    # peak 2.1 records, 2.7 with traces: the per-iteration records, then stacked (tracemalloc)
+    # peak 1.1 records and one n-row step, 1.5 with traces: records, chunks (tracemalloc, n=400)
     kept = "step lengths and positions" if keep_traces else "step lengths"
     _check_words(max_iter * n + ((max_iter + 1) * n * d if keep_traces else 0),
                  f"the {kept} of max_iter={max_iter} iterations over n={n} points")
@@ -73,45 +86,14 @@ def anomaly_scores(data, model: DensityModel | None = None, tol=None,
     op = ShiftOperator(model)
     if d != op.dim:
         raise ValueError(f"data dimension {d} != model dimension {op.dim}")
-    tol = _resolve_tol(op, tol)
 
-    cur = pts.copy()
-    converged = np.zeros(n, dtype=bool)
-    end_step = np.zeros(n, dtype=np.int64)
-    history = [cur.copy()] if keep_traces else None
-    step_records = []
-    active = np.arange(n)
-    for it in range(1, max_iter + 1):
-        nxt = op.step(cur[active])
-        lengths = np.linalg.norm(nxt - cur[active], axis=1)
-        record = np.zeros(n)
-        record[active] = lengths
-        step_records.append(record)
-        cur[active] = nxt
-        end_step[active] = it
-        if keep_traces:
-            history.append(cur.copy())
-        done = lengths < tol
-        converged[active[done]] = True
-        active = active[~done]
-        if active.size == 0:
-            break
-
-    # sum each point's own step-length vector, matching the reduction a
-    # per-point trace would apply
-    length_matrix = np.stack(step_records)
-    scores = np.array([
-        float(np.ascontiguousarray(length_matrix[: end_step[i], i]).sum())
-        for i in range(n)
-    ])
-
-    traces = None
-    if keep_traces:
-        stack = np.stack(history)  # (steps+1, n, d)
-        traces = [
-            ShiftTrace(path=stack[: end_step[i] + 1, i, :], converged=bool(converged[i]))
-            for i in range(n)
-        ]
+    steps, converged, lengths, positions = _shift_paths(op, pts, tol, max_iter, keep_traces)
+    # sum each point's own step lengths, the reduction its trace applies
+    scores = np.fromiter((row.sum() for row in _per_point(lengths, steps)), float, n)
+    del lengths  # freed before the traces are gathered, which lowers their peak
+    traces = None if positions is None else [
+        ShiftTrace(path=path, converged=flag)
+        for path, flag in zip(_per_point(positions, steps + 1), converged)]
     return AnomalyReport(scores, converged, traces)
 
 

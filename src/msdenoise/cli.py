@@ -63,6 +63,8 @@ def _read_csv(path):
             rows = [r for r in csv.reader(fh) if r]
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
     if not rows:
         raise CliError(f"{path}: file is empty")
 

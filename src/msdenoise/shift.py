@@ -266,20 +266,47 @@ class ShiftTrace:
         return self.path[-1]
 
 
-def _resolve_tol(op: ShiftOperator, tol: Optional[float]) -> float:
-    """`tol` checked to be positive and finite, or the default for `op`'s model.
-
-    The default is 1e-7 times the mean per-coordinate sample spread of the
-    model data; analytic sources have no default.
-    """
-    if tol is None:
-        if not isinstance(op.source, DensityModel):
-            raise ValueError("tol must be given explicitly for analytic sources")
+def _shift_paths(op: ShiftOperator, starts: np.ndarray, tol: Optional[float],
+                 max_iter: int, keep_positions: bool):
+    """Step the still-moving rows of `starts` as one batch until each row's
+    own step norm is under `tol` (None: `shift_until_converged`'s default)
+    or `max_iter` steps are taken.  Returns each row's step count and flag,
+    one array of step lengths per iteration (0 once a row stops) and, with
+    `keep_positions`, all positions before and after each iteration."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if tol is not None:
+        tol = _positive(tol, "tol")
+    elif isinstance(op.source, DensityModel):
         pts = op.source.data.points
         scale = float(pts.std(axis=0, ddof=1).mean()) if pts.shape[0] > 1 else 0.0
         # single point or fully degenerate data: fall back to an absolute floor
-        return 1e-7 * scale if scale > 0.0 else 1e-7
-    return _positive(tol, "tol")
+        tol = 1e-7 * scale if scale > 0.0 else 1e-7
+    else:
+        raise ValueError("tol must be given explicitly for analytic sources")
+    cur = starts.copy()
+    n = cur.shape[0]
+    steps = np.zeros(n, dtype=np.int64)
+    converged = np.zeros(n, dtype=bool)
+    lengths = []
+    positions = [cur.copy()] if keep_positions else None
+    active = np.arange(n)
+    for it in range(1, max_iter + 1):
+        nxt = op.step(cur[active])
+        step = np.linalg.norm(nxt - cur[active], axis=1)
+        record = np.zeros(n)
+        record[active] = step
+        lengths.append(record)
+        cur[active] = nxt
+        steps[active] = it
+        if keep_positions:
+            positions.append(cur.copy())
+        done = step < tol
+        converged[active[done]] = True
+        active = active[~done]
+        if active.size == 0:
+            break
+    return steps, converged, lengths, positions
 
 
 def shift_until_converged(op: ShiftOperator, x, tol: Optional[float] = None,
@@ -289,22 +316,10 @@ def shift_until_converged(op: ShiftOperator, x, tol: Optional[float] = None,
     The default tol is 1e-7 times the mean per-coordinate sample spread of
     the model data, so convergence is scale-aware.  Hitting `max_iter`
     returns a trace with ``converged=False`` rather than raising.  A batch
-    of starts is refused; `denoise` steps a batch.
+    of starts is refused; `anomaly_scores` iterates one in the same loop.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    tol = _resolve_tol(op, tol)
-    cur = _as_point(x, op.dim)[0]
-    path = [cur]
-    converged = False
-    for _ in range(max_iter):
-        nxt = op.step(cur)
-        path.append(nxt)
-        if float(np.linalg.norm(nxt - cur)) < tol:
-            converged = True
-            break
-        cur = nxt
-    return ShiftTrace(path=np.vstack(path), converged=converged)
+    _, converged, _, positions = _shift_paths(op, _as_point(x, op.dim), tol, max_iter, True)
+    return ShiftTrace(path=np.vstack(positions), converged=converged[0])
 
 
 def denoise(data, op: ShiftOperator, sweeps: int = 1) -> PointCloud:

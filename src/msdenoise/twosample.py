@@ -180,15 +180,6 @@ class TestResult:
         return self.p_value <= self.alpha
 
 
-def _indicator_matrix(total, n_x, n_perm, rng):
-    """0/1 columns marking which pooled rows each permutation sends to X."""
-    u = np.zeros((total, n_perm))
-    for b in range(n_perm):
-        perm = rng.permutation(total)
-        u[perm[:n_x], b] = 1.0
-    return u
-
-
 def permutation_test(stat, x, y, n_perm=999, rng_seed=0, alpha=0.05) -> TestResult:
     """Permutation two-sample test for a statistic that grows under H1.
 
@@ -208,16 +199,15 @@ def permutation_test(stat, x, y, n_perm=999, rng_seed=0, alpha=0.05) -> TestResu
     _check_alpha(alpha)
     rng = np.random.default_rng(rng_seed)
     n, m = xa.shape[0], ya.shape[0]
-    total = n + m
 
     if callable(stat):
         observed = float(stat(xa, ya))
         pooled = np.vstack([xa, ya])
         exceed = 0
-        for _ in range(n_perm):
-            perm = rng.permutation(total)
-            if float(stat(pooled[perm[:n]], pooled[perm[n:]])) >= observed:
-                exceed += 1
+        for _, perms in _permutation_blocks(np.arange(n + m), n_perm, rng):
+            for perm in perms:
+                if float(stat(pooled[perm[:n]], pooled[perm[n:]])) >= observed:
+                    exceed += 1
     else:
         if stat == "energy" and xa.shape[1] == 1:
             observed, perm_stats = _sorted_permutation_stats(xa, ya, n_perm, rng)
@@ -231,35 +221,44 @@ def permutation_test(stat, x, y, n_perm=999, rng_seed=0, alpha=0.05) -> TestResu
     return TestResult(observed, p, n_perm, alpha)
 
 
-# Permutations drawn and scored together by the 1-D energy route.  Each test
-# allocates one intp and one float64 block of _PERM_BLOCK x (n+m) entries and
-# reuses them for every block: 0.56 MiB at n+m = 2300, where the whole test
-# (199 permutations) stays under a tracemalloc peak of 1 MiB.  16 was the
-# fastest of 8, 16, 32 and 64 on the twosample benchmark (2 cores).
+# Permutations drawn together by every route.  The 1-D energy route reuses one
+# intp and one float64 block of _PERM_BLOCK x (n+m) entries: 0.56 MiB at
+# n+m = 2300, where the whole test (199 permutations) stays under a tracemalloc
+# peak of 1 MiB.  16 was the fastest of 8, 16, 32 and 64 on the twosample
+# benchmark (2 cores).
 _PERM_BLOCK = 16
+
+
+def _permutation_blocks(template, n_perm, rng):
+    """(first index, rows) blocks of n_perm rows `template[rng.permutation(N)]`.
+
+    Each row, a copy of the N entries of `template`, is shuffled in place by
+    `rng.permuted`, which draws positions independently of the contents: the
+    generator ends as after one `permutation` draw per row.  One block is
+    reused, so its rows are overwritten when the next block is drawn.
+    """
+    block = np.empty((min(_PERM_BLOCK, n_perm), template.size), dtype=template.dtype)
+    for lo in range(0, n_perm, _PERM_BLOCK):
+        rows = block[:min(_PERM_BLOCK, n_perm - lo)]
+        rows[:] = template
+        rng.permuted(rows, axis=1, out=rows)
+        yield lo, rows
 
 
 def _sorted_permutation_stats(xa, ya, n_perm, rng):
     """The observed 1-D energy statistic and every permuted one, in sorted order.
 
     The observed split is scored on a copy of the sorted ranks, since
-    `_sorted_energy` sorts its rows in place.  Each block row starts as
-    those ranks and is shuffled in place by `rng.permuted`.  A shuffle moves
-    entries by positions drawn independently of their contents, so each row
-    is `rank[rng.permutation(n+m)]`, and the generator ends in the same
-    state as after one such draw per permutation.
+    `_sorted_energy` sorts its rows in place; the permuted ones are drawn
+    over those ranks.
     """
     n, total = xa.shape[0], xa.shape[0] + ya.shape[0]
     z, rank, grand, weights = _sorted_pool(xa, ya)
     observed = _sorted_energy(z, rank[np.newaxis].copy(), n, grand, weights, np.empty((1, total)))
-    block = np.empty((min(_PERM_BLOCK, n_perm), total), dtype=np.intp)
-    values = np.empty(block.shape)
+    values = np.empty((min(_PERM_BLOCK, n_perm), total))
     stats = np.empty(n_perm)
-    for lo in range(0, n_perm, _PERM_BLOCK):
-        rows = min(_PERM_BLOCK, n_perm - lo)
-        ranks = block[:rows]
-        ranks[:] = rank
-        rng.permuted(ranks, axis=1, out=ranks)
+    for lo, ranks in _permutation_blocks(rank, n_perm, rng):
+        rows = ranks.shape[0]
         stats[lo:lo + rows] = _sorted_energy(z, ranks, n, grand, weights, values[:rows])
     return float(observed[0]), stats
 
@@ -281,7 +280,9 @@ def _pooled_permutation_stats(which, xa, ya, n_perm, rng):
     observed, matrix = _pooled_statistic(which, xa, ya)
     row_tot = matrix.sum(axis=1)
     grand = float(row_tot.sum())
-    u = _indicator_matrix(total, n, n_perm, rng)
+    u = np.zeros((total, n_perm))
+    for lo, perms in _permutation_blocks(np.arange(total), n_perm, rng):
+        u[perms[:, :n], np.arange(lo, lo + perms.shape[0])[:, None]] = 1.0
     ru = matrix @ u
     s_xx = np.einsum("ij,ij->j", u, ru)
     u_row = row_tot @ u

@@ -21,6 +21,29 @@ def test_matches_per_point_iteration_exactly():
         assert np.array_equal(report.traces[i].path, trace.path)
 
 
+def test_stop_rule_matches_per_point_iteration_at_every_step_length():
+    # a tol at, or just above, one of the point's step lengths stops it on
+    # that step or the next: both loops must take the same one.  The norm of
+    # a lone step vector (a BLAS dot) and of it as a row differ in the last
+    # bit for some steps (step 6 here, near 0.025008), so the stop rule must
+    # be the same code in both.
+    rng = np.random.default_rng(0)
+    data = rng.normal(size=(40, 2))
+    model = fit(data, 0.5)
+    op = ShiftOperator(model)
+    for length in shift_until_converged(op, data[0], tol=1e-12).step_lengths[:8]:
+        for tol in (length, np.nextafter(length, np.inf)):
+            trace = shift_until_converged(op, data[0], tol=tol)
+            report = anomaly_scores(data[:1], model, tol=tol, keep_traces=True)
+            assert np.array_equal(report.traces[0].path, trace.path)
+            assert report.scores[0] == trace.total_length
+            assert report.converged[0] == trace.converged
+            assert report.scores[0] == anomaly_scores(data, model, tol=tol).scores[0]
+    trace = shift_until_converged(op, data[0], tol=0.025007535458079325)
+    assert trace.iterations == 6
+    assert trace.total_length == anomaly_scores(data, model, tol=0.025007535458079325).scores[0]
+
+
 def test_point_at_mode_scores_near_zero():
     rng = np.random.default_rng(1)
     model = fit(rng.normal(size=(60, 2)), 0.6)
@@ -156,3 +179,32 @@ def test_record_limit_fails_before_allocating():
     # the default CLI scene with traces (test_cli) stays well inside the limit
     n, d = default_anomaly_scenario().cloud.points.shape
     assert 500 * n + 501 * n * d <= _WORD_BUDGET
+
+
+def test_records_are_not_copied_whole():
+    # the multiples stated at the check in anomaly_scores: the records of
+    # every iteration, one step's own kernel blocks over all n points, and
+    # the per-point chunks of records gathered after the last step
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    n, d, max_iter = 400, 2, 200
+    data = rng.normal(size=(n, d))
+    model = fit(data, 0.5)
+    op = ShiftOperator(model)
+    anomaly_scores(data[:5], model, max_iter=2, keep_traces=True)  # imports outside the trace
+    tracemalloc.start()
+    try:
+        op.step(data)
+        step_peak = tracemalloc.get_traced_memory()[1]
+        for keep_traces, multiple in ((False, 1.2), (True, 1.8)):
+            words = max_iter * n + ((max_iter + 1) * n * d if keep_traces else 0)
+            tracemalloc.reset_peak()
+            report = anomaly_scores(data, model, tol=1e-300, max_iter=max_iter,
+                                    keep_traces=keep_traces)
+            peak = tracemalloc.get_traced_memory()[1]
+            assert not report.converged.any()
+            assert peak <= multiple * 8 * words + (0 if keep_traces else step_peak)
+            del report
+    finally:
+        tracemalloc.stop()

@@ -158,6 +158,16 @@ def test_read_csv_skips_a_byte_order_mark(tmp_path):
     assert header == ["x", "y"] and np.array_equal(arr, [[1.0, 2.0]])
 
 
+def test_read_csv_refuses_text_that_is_not_utf8(tmp_path, capsys):
+    # a UTF-16 file (as some spreadsheets export it) fails naming the file
+    f = tmp_path / "utf16.csv"
+    f.write_bytes("1.0,2.0\n3.0,4.0\n".encode("utf-16"))
+    with pytest.raises(CliError, match=r"utf16\.csv: not UTF-8 text \(byte 0: "):
+        _read_csv(str(f))
+    assert main(["anomaly", "--input", str(f)]) == 2
+    assert f"{f}: not UTF-8 text" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # reference dataset loading
 
