@@ -302,6 +302,18 @@ def _power_curve_rows(curve):
     return np.column_stack([curve.grid, curve.power_before, after, np.full(size, curve.n_reps)])
 
 
+def _parse_grid(spec, cast):
+    """A --grid value: comma-separated entries, each read by `cast`."""
+    values = []
+    for entry in spec.split(","):
+        try:
+            values.append(cast(entry))
+        except ValueError:
+            kind = "an integer" if cast is int else "a number"
+            raise CliError(f"--grid entries must each be {kind}, got {entry!r} in {spec!r}")
+    return values
+
+
 def cmd_twosample(args):
     common = dict(n0=args.n0, n_reps=args.reps, alpha=args.alpha, msd=args.msd,
                   rng_seed=args.seed, test=args.test, n_perm=args.n_perm)
@@ -311,7 +323,7 @@ def cmd_twosample(args):
         run, grid_arg, cast = power_experiment_mixture_proportion, "pi_grid", float
     # without --grid the library's default grid applies
     if args.grid:
-        common[grid_arg] = [cast(v) for v in args.grid.split(",")]
+        common[grid_arg] = _parse_grid(args.grid, cast)
     curve = run(**common)
     if args.out_csv:
         _write_csv(args.out_csv, _power_curve_rows(curve), POWER_CURVE_HEADER)

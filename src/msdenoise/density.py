@@ -15,27 +15,24 @@ evaluation runs over cache-sized blocks of query rows: two ``(rows, n)``
 buffers of about ``_BLOCK_FLOATS`` floats each are allocated once per range
 of rows and reused for every block, so memory does not grow with the batch
 size and no ``(rows, n, d)`` temporary is formed.  Each coordinate
-difference of a block of at least ``_STREAM_BLOCK`` floats in rows of at
-least ``_STREAM_ROW`` is one subtraction that broadcasts the data row and the
-query column, with numpy's ufunc buffer capped at one row so that the rows
-stream through without being copied into it; a smaller block copies the data
-row into every block row and subtracts the query column in place.  Both
-routes give the same bits.  Each row's weighted sums (of the weights, of the
-weights times a data coordinate, of the weights times a difference) come
-from `np.einsum` in one pass, without storing the products, over fixed
-chunks of at most ``_ROW_CHUNK`` = 8192 columns whose sums are added left
-to right.  The chunks keep a row's rounding independent of where it sits in
-the block: einsum itself would cut a longer row at its 8192-element buffer
-boundary, wherever that falls.  No BLAS call is used, because a BLAS
-product rounds differently in a batch than row by row and with the number
-of BLAS threads.  A batch of at least
-``_SPLIT_PAIRS`` query x data pairs takes blocks of ``_SPLIT_BLOCK_FLOATS``
-and is split into contiguous ranges of whole blocks, one per usable CPU; the
-calling thread takes the first range and one thread per further CPU takes
-each of the others (``numpy.exp`` and the other ufuncs release the
-interpreter lock).  Each row is reduced on its own, so a batch gives the
-same bits as evaluating its rows one at a time, for any block size and any
-number of ranges.
+difference of a block is one subtraction that broadcasts the data row and
+the query column, with numpy's ufunc buffer capped at one row so that the
+rows stream through without being copied into it (`_by_column`).  Each
+row's weighted sums (of the weights, of the weights times a data
+coordinate, of the weights times a difference) come from `np.einsum` in one
+pass, without storing the products, over fixed chunks of at most
+``_ROW_CHUNK`` = 8192 columns whose sums are added left to right.  The
+chunks keep a row's rounding independent of where it sits in the block:
+einsum itself would cut a longer row at its 8192-element buffer boundary,
+wherever that falls.  No BLAS call is used, because a BLAS product rounds
+differently in a batch than row by row and with the number of BLAS
+threads.  A batch of at least ``_SPLIT_PAIRS`` query x data pairs takes
+blocks of ``_SPLIT_BLOCK_FLOATS`` and is split into contiguous ranges of
+whole blocks, one per usable CPU; the calling thread takes the first range
+and one thread per further CPU takes each of the others (``numpy.exp`` and
+the other ufuncs release the interpreter lock).  Each row is reduced on its
+own, so a batch gives the same bits as evaluating its rows one at a time,
+for any block size and any number of ranges.
 
 Smoothed cross-validation bins the pair distances once per selection,
 linearly, onto ``r = j delta``, ``delta = h_ns / _SCV_BINS_PER_PILOT``, and
@@ -83,19 +80,6 @@ _WORD_BUDGET = 1 << 26
 # piece rounds on its own, so a longer row would sum differently in a batch
 # than alone.
 _ROW_CHUNK = 8192
-
-# Shapes from which a column-broadcast ufunc (`_by_column`) streams row by
-# row.  numpy pushes an operation on rows shorter than its 8192-element
-# iterator buffer through that buffer, about 3x slower than a plain pass
-# over the rows; with the buffer capped at one row it does not.  Medians of
-# 15 alternating timings of `_differences` on a 2-core host (numpy 2.4.6),
-# copy plus subtract against streamed: rows under 128 floats stream in
-# pieces too small to pay (655 x 50: 35 -> 40 us; 3276 x 10: 61 -> 189 us),
-# and the two `np.setbufsize` calls cost a few us, more than a small block
-# saves (1 x 1000: 1.7 -> 4.2 us; 32 x 256: 10.4 -> 11.5 us; 8 x 1000:
-# 9.2 -> 5.8 us; 64 x 256: 17.7 -> 14.3 us; 131 x 1000: 110 -> 37 us).
-_STREAM_ROW = 128
-_STREAM_BLOCK = 8192
 
 # Query x data pairs from which a batch is split across the usable CPUs.
 # Below it, a thread hand-off costs more than it saves.
@@ -252,54 +236,29 @@ def _as_point(x, dim: int) -> np.ndarray:
     return q
 
 
-def _streams(out: np.ndarray) -> bool:
-    """Whether a column broadcast into the 2-D `out` streams faster than it
-    goes through numpy's buffer (`_STREAM_ROW`, `_STREAM_BLOCK`)."""
-    return out.shape[1] >= _STREAM_ROW and out.size >= _STREAM_BLOCK
-
-
 def _by_column(ufunc, a: np.ndarray, col: np.ndarray, out: np.ndarray) -> None:
-    """``ufunc(a, col[:, None], out=out)`` for a 2-D `out`.
-
-    Where `_streams(out)`, numpy's ufunc buffer is capped at one row of
-    `out` (rounded up to the multiple of 16 it requires) for this call and
-    restored after it.  numpy keeps the setting in a context variable, so
-    each thread sets and restores its own.  Every element has the same bits
-    either way.
+    """``ufunc(a, col[:, None], out=out)`` for a 2-D `out`, with numpy's
+    ufunc buffer capped at one row of `out` for this call and restored after
+    it, so that the rows stream through without being copied into the buffer.
+    The cap is rounded up to the multiple of 16 numpy requires, at least 16
+    for a block with no columns.  numpy keeps the setting in a context
+    variable, so each thread sets and restores its own.
     """
-    if not _streams(out):
-        ufunc(a, col[:, None], out=out)
-        return
-    prev = np.setbufsize(-(-out.shape[1] // 16) * 16)
+    prev = np.setbufsize(max(16, -(-out.shape[1] // 16) * 16))
     try:
         ufunc(a, col[:, None], out=out)
     finally:
         np.setbufsize(prev)
 
 
-def _differences(out: np.ndarray, row: np.ndarray, q: np.ndarray) -> None:
-    """``out[i, k] = row[k] - q[i]``, with the bits of ``row[k] - q[i]``.
-
-    One broadcast subtraction streamed row by row (`_by_column`) where the
-    block streams; otherwise the data row is copied into every block row and
-    the query column subtracted in place, which is faster than broadcasting
-    both operands through numpy's buffer.
-    """
-    if _streams(out):
-        _by_column(np.subtract, row, q, out)
-    else:
-        out[...] = row
-        np.subtract(out, q[:, None], out=out)
-
-
 def _sq_distances(out: np.ndarray, scratch: np.ndarray, cols: np.ndarray, q: np.ndarray) -> None:
     """``out[i, k] = ||X_k - q_i||^2``, summed over the coordinates in order
     (`cols` is the data as ``(d, n)``; `scratch`, a buffer like `out`, is
     used only when d > 1)."""
-    _differences(out, cols[0], q[:, 0])
+    _by_column(np.subtract, cols[0], q[:, 0], out)
     np.square(out, out=out)
     for j in range(1, cols.shape[0]):
-        _differences(scratch, cols[j], q[:, j])
+        _by_column(np.subtract, cols[j], q[:, j], scratch)
         np.square(scratch, out=scratch)
         np.add(out, scratch, out=out)
 
@@ -443,7 +402,7 @@ def _kde_eval(data: np.ndarray, h: float, queries: np.ndarray, want_grad: bool):
         dens[lo:hi] = _row_sums(w) * norm
         if want_grad:
             for j in range(d):
-                _differences(scratch, cols[j], queries[lo:hi, j])
+                _by_column(np.subtract, cols[j], queries[lo:hi, j], scratch)
                 grad[lo:hi, j] = _row_sums(w, scratch) * gnorm
 
     _reduce_kernel_blocks(cols, h, queries, reduce)

@@ -88,8 +88,9 @@ class LevelSetSpec:
                 raise ValueError("boundary points are not on the stated level")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """One membership flag per point (rows, or the entries of a 1-D array)."""
-        pts = _as_cloud(points).points
+        """One membership flag per point (rows, or the entries of a 1-D array),
+        read where they lie under `PointCloud`'s point rule."""
+        pts = _checked_points(np.asarray(points, dtype=float))
         return np.asarray(self.density(pts), dtype=float) >= self.level
 
 

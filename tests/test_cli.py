@@ -384,6 +384,19 @@ def test_twosample_usage_errors(tmp_path):
                  "--reps", "1", "--n-perm", "5"]) == 2  # permutation floor
 
 
+@pytest.mark.parametrize("scenario, grid, entry", [
+    ("noise", ",", "''"), ("noise", "0,x", "'x'"), ("noise", "1.5", "'1.5'"),
+    ("mixture", "0.5,", "''"), ("mixture", "0.5,y", "'y'"),
+])
+def test_twosample_grid_entry_that_is_not_a_number(capsys, scenario, grid, entry):
+    code = main(["twosample", "--scenario", scenario, "--grid", grid,
+                 "--n0", "50", "--reps", "1", "--n-perm", "99"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --grid") and f"got {entry}" in err
+
+
 # ---------------------------------------------------------------------------
 # anomaly
 

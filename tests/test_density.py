@@ -108,18 +108,19 @@ def test_batch_matches_single_queries_exactly():
 
 
 @pytest.mark.parametrize("rows", [1, 5, 20, 131])
-@pytest.mark.parametrize("n", [1, 127, 128, 1000, 8191, 8192, 20000])
+@pytest.mark.parametrize("n", [0, 1, 10, 127, 128, 1000, 8191, 8192, 20000])
 def test_differences_match_broadcast_subtraction(n, rows):
-    """Both routes of `_differences` give the bits of ``row - q``, for a
-    contiguous data row and a strided one (a column of an (n, d) array), and
-    leave numpy's buffer size as they found it."""
+    """The streamed subtraction of `_by_column` gives the bits of ``row - q``,
+    for a contiguous data row and a strided one (a column of an (n, d)
+    array), with no data at all too, and leaves numpy's buffer size as it
+    found it."""
     rng = np.random.default_rng(1000 * n + rows)
     data = rng.normal(size=(n, 2)) * np.exp(rng.uniform(-20.0, 20.0, size=(n, 2)))
     q = rng.normal(size=rows) * 1e3
     before = np.getbufsize()
     for row in (np.ascontiguousarray(data[:, 0]), data[:, 1]):
         out = np.full((rows, n), np.nan)
-        density._differences(out, row, q)
+        density._by_column(np.subtract, row, q, out)
         assert np.array_equal(out, row[None, :] - q[:, None])
         assert np.getbufsize() == before
 

@@ -326,10 +326,10 @@ def test_split_batch_zero_density_reports_lowest_global_index(workers, far, inde
 
 
 def test_steps_leave_ufunc_buffer_size_alone(monkeypatch):
-    """The streamed difference route restores numpy's buffer size before
-    each block reaches its reduction, in the calling thread and in every
-    range thread, after a serial step, a split one, and a split one that
-    raises from a non-finite query."""
+    """The streamed differences restore numpy's buffer size before each
+    block reaches its reduction, in the calling thread and in every range
+    thread, after a serial step, a split one, and a split one that raises
+    from a non-finite query."""
     rng = np.random.default_rng(12)
     n = 1000
     m = fit(rng.normal(size=(n, 1)), 0.3)
@@ -343,7 +343,6 @@ def test_steps_leave_ufunc_buffer_size_alone(monkeypatch):
 
     def spy_on(blocks):
         def spy(cols, h, queries, rows):
-            assert density._streams(np.empty((rows, cols.shape[1])))
             for block in blocks(cols, h, queries, rows):
                 seen.append((threading.current_thread(), np.getbufsize()))
                 yield block

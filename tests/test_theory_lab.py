@@ -165,6 +165,30 @@ def test_level_set_spec_reads_a_1d_array_as_points():
     assert spec.contains(np.array([-2.0, 0.0, 0.5, 2.0])).tolist() == [False, True, True, False]
 
 
+def test_level_set_membership_reads_points_where_they_lie(gmm_spec):
+    # no copy of the points: the peak is the density's own work arrays
+    import tracemalloc
+
+    n = 200_000
+    x = np.random.default_rng(3).normal(size=(n, 1))
+    gmm_spec.contains(x[:10])
+    tracemalloc.start()
+    try:
+        gmm_spec.contains(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * n * 8
+
+
+@pytest.mark.parametrize("bad", [np.zeros((0, 1)), np.zeros((2, 1, 1)), [[0.0], [math.nan]]])
+def test_level_set_membership_refuses_what_a_point_cloud_refuses(gmm_spec, bad):
+    with pytest.raises(ValueError) as refused:
+        PointCloud(bad)
+    with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+        gmm_spec.contains(bad)
+
+
 def test_level_set_spec_validation():
     nrm = lab.standard_normal_density()
     with pytest.raises(ValueError):
