@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityModel, _as_cloud, _check_words, _frozen, fit, select_bandwidth_scv
+from .density import DensityModel, _check_words, _count, _frozen, _points, fit, select_bandwidth_scv
 from .shift import ShiftOperator, ShiftTrace, _shift_paths
 
 
@@ -73,10 +73,9 @@ def anomaly_scores(data, model: DensityModel | None = None, tol=None,
     x n x d positions with keep_traces, are over `_check_words`, ValueError
     is raised before any of them is allocated.
     """
-    pts = _as_cloud(data).points
+    pts = _points(data)
     n, d = pts.shape
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    max_iter = _count(max_iter, "max_iter")
     # peak 1.1 records and one n-row step, 1.5 with traces: records, chunks (tracemalloc, n=400)
     kept = "step lengths and positions" if keep_traces else "step lengths"
     _check_words(max_iter * n + ((max_iter + 1) * n * d if keep_traces else 0),

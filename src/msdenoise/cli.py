@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .anomaly import anomaly_scores, top_k
 from .clustering import run_clustering_case, run_dataset_eval
-from .density import _positive, density_at, fit, select_bandwidth_scv, standardize
+from .density import _count, _positive, density_at, fit, standardize
 from .shift import ShiftOperator, denoise
 from .synthetic import (
     _CASES,
@@ -101,9 +101,18 @@ def _read_csv(path):
     return data, header
 
 
+def _open_output(path):
+    """`path` opened for writing as UTF-8 text; one that cannot be opened
+    raises CliError naming it, as every output of every command does."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"{path}: {exc.strerror or exc}")
+
+
 def _write_csv(path, rows, header=None):
     """Write rows of numbers, a 2-D array or any iterable, as `%.17g` cells."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
         for row in rows:
@@ -180,16 +189,6 @@ def _report(args, **payload):
     return out
 
 
-def _print_report(report, path=None):
-    # the file first: a reader that closes stdout early must not lose it
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
-    sys.stdout.flush()
-
-
 def _parse_bandwidth(spec):
     """A --h value: 'scv' or a positive finite number."""
     if spec == "scv":
@@ -198,11 +197,6 @@ def _parse_bandwidth(spec):
         return _positive(spec, "--h")
     except ValueError:
         raise CliError(f"--h must be a positive finite number or 'scv', got {spec!r}")
-
-
-def _resolve_bandwidth(spec, points):
-    h = _parse_bandwidth(spec)
-    return select_bandwidth_scv(points) if h == "scv" else h
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +233,15 @@ def cmd_gen(args):
 
 
 def cmd_denoise(args):
-    if args.sweeps < 1:
-        raise CliError("--sweeps must be >= 1")
+    _count(args.sweeps, "--sweeps")
     arr, header = _read_csv(args.input)
-    h = _resolve_bandwidth(args.h, arr)
-    model = fit(arr, h)
+    model = fit(arr, _parse_bandwidth(args.h))
     op = ShiftOperator(model)
     mean_before = float(density_at(model, arr).mean())
     moved = denoise(arr, op, sweeps=args.sweeps).points
     mean_after = float(density_at(model, moved).mean())
     _write_csv(args.output, moved, header)
-    report = _report(args, bandwidth=h, rows=int(arr.shape[0]),
+    report = _report(args, bandwidth=model.bandwidth, rows=int(arr.shape[0]),
                      dim=int(arr.shape[1]), kde_mean_before=mean_before,
                      kde_mean_after=mean_after, output=args.output)
     return report, 0
@@ -344,15 +336,13 @@ def cmd_anomaly(args):
     rows = arr.shape[0]
     if not 0 <= args.k <= rows:
         raise CliError(f"--k must be in 0..{rows}")
-    if args.max_iter < 1:
-        raise CliError("--max-iter must be >= 1")
-    h = _resolve_bandwidth(args.h, arr)
-    model = fit(arr, h)
+    _count(args.max_iter, "--max-iter")
+    model = fit(arr, _parse_bandwidth(args.h))
     report_obj = anomaly_scores(arr, model, max_iter=args.max_iter,
                                 keep_traces=args.traces_out is not None)
     top = top_k(report_obj, args.k)
     payload = {
-        "bandwidth": h,
+        "bandwidth": model.bandwidth,
         "rows": rows,
         "top_k": top.tolist(),
         "top_k_scores": report_obj.scores[top].tolist(),
@@ -480,12 +470,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _count(args.seed, "--seed", 0)
         report, code = args.func(args)
+        text = json.dumps(report, indent=2, sort_keys=True)
+        # the file first: a reader that closes stdout early must not lose it
+        if args.out_json:
+            with _open_output(args.out_json) as fh:
+                fh.write(text + "\n")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        _print_report(report, getattr(args, "out_json", None))
+        print(text)
+        sys.stdout.flush()
     except BrokenPipeError:
         # the reader went away (`| head`); point stdout at devnull so the
         # flush at interpreter exit does not raise again

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (_BLOCK_FLOATS, _as_cloud, _by_column, _check_words, _frozen,
-                      _median_pair_distance, _pair_sq_distances, _positive, _sq_distances, fit,
-                      select_bandwidth_scv)
+from .density import (_BLOCK_FLOATS, _by_column, _check_words, _count, _frozen,
+                      _median_pair_distance, _pair_sq_distances, _points, _positive,
+                      _sq_distances, fit)
 from .shift import ShiftOperator
 from .synthetic import _CASES, _generate_case, _rng
 
@@ -43,9 +43,7 @@ class LabelSet:
         lab = _frozen(self.labels, np.int64)
         if lab.ndim != 1:
             raise ValueError("labels must be one-dimensional")
-        k = int(self.k)
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        k = _count(self.k, "k")
         if lab.size and (lab.min() < 0 or lab.max() >= k):
             raise ValueError("labels must lie in 0..k-1")
         object.__setattr__(self, "labels", lab)
@@ -161,7 +159,7 @@ def kmeans(data, k, rng_seed=0) -> LabelSet:
     other labels; on well-separated groups the partition is the same up to
     relabelling.
     """
-    pts = _as_cloud(data).points
+    pts = _points(data)
     n, d = pts.shape
     k = int(k)
     if not 1 <= k <= n:
@@ -260,7 +258,7 @@ def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
     """
     from scipy.linalg import eigh
 
-    pts = _as_cloud(data).points
+    pts = _points(data)
     n = pts.shape[0]
     k = int(k)
     if not 1 <= k <= n:
@@ -316,7 +314,7 @@ def hierarchical(data, k) -> LabelSet:
     """
     from scipy.cluster import hierarchy
 
-    pts = _as_cloud(data).points
+    pts = _points(data)
     n = pts.shape[0]
     k = int(k)
     if not 1 <= k <= n:
@@ -401,8 +399,7 @@ def _cluster_once(points, algo, k, seed, knn=None, sigma="auto"):
 
 def _denoised(points, bandwidth):
     """One weighted-mean sweep of `points` under their own KDE at `bandwidth` or "scv"."""
-    h = select_bandwidth_scv(points) if bandwidth == "scv" else bandwidth
-    return ShiftOperator(fit(points, h)).step(points)
+    return ShiftOperator(fit(points, bandwidth)).step(points)
 
 
 def run_clustering_case(case, algo="spectral", k=2, n_reps=50, rng_seed=0,
@@ -420,8 +417,7 @@ def run_clustering_case(case, algo="spectral", k=2, n_reps=50, rng_seed=0,
     """
     if case not in _CASES:
         raise ValueError(f"unknown case {case!r}; choose from {sorted(_CASES)}")
-    if n_reps < 1:
-        raise ValueError("n_reps must be >= 1")
+    n_reps = _count(n_reps, "n_reps")
     knn_default, sigma_default = _CASE_SPECTRAL[_CASES[case][0]]
     if knn is None:
         knn = knn_default
@@ -454,9 +450,8 @@ def run_dataset_eval(name, points, labels, k, algo="spectral", n_reps=10,
     denoised copy (one sweep, bandwidth a number or "scv") is made once.
     `name` labels the report.
     """
-    if n_reps < 1:
-        raise ValueError("n_reps must be >= 1")
-    pts = _as_cloud(points).points
+    n_reps = _count(n_reps, "n_reps")
+    pts = _points(points)
     if msd:
         moved = _denoised(pts, bandwidth)
     before = np.empty(n_reps)

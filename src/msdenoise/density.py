@@ -120,7 +120,10 @@ def _check_words(words: int, what: str) -> None:
 
 def _positive(value, name: str) -> float:
     """`value` as a float, refused by `name` unless positive and finite."""
-    v = float(value)
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}") from None
     if not 0.0 < v < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {v}")
     return v
@@ -134,10 +137,27 @@ def _frozen(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def _checked_points(arr: np.ndarray) -> np.ndarray:
-    """`arr` as an (n, d) view, a 1-D array being n points in one coordinate,
-    once it holds at least one finite point: the point rule of `PointCloud`,
-    which also serves code that reads a caller's array without copying it."""
+def _count(value, name: str, low: int = 1) -> int:
+    """`value` as an int, refused by `name` unless it is a whole number of at
+    least `low`: the rule of every count (replicates, permutations, sizes)."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value or n < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return n
+
+
+def _points(data) -> np.ndarray:
+    """A sample as an (n, d) float array, read where it lies: a PointCloud's
+    own array, or an array-like as a C-contiguous float64 array (the caller's
+    own array when it already is one), a 1-D array-like being n points in one
+    coordinate.  The point rule: at least one point, all of them finite.
+    Callers only read it; `PointCloud` is what stores a copy."""
+    if isinstance(data, PointCloud):
+        return data.points
+    arr = np.asarray(data, dtype=float, order="C")
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
@@ -163,7 +183,7 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", _checked_points(_frozen(self.points)))
+        object.__setattr__(self, "points", _points(_frozen(self.points)))
 
     @property
     def size(self) -> int:
@@ -177,11 +197,6 @@ class PointCloud:
         return self.size
 
 
-def _as_cloud(data) -> PointCloud:
-    """`data` itself if it is a PointCloud, else a validated PointCloud of it."""
-    return data if isinstance(data, PointCloud) else PointCloud(data)
-
-
 @dataclass(frozen=True)
 class DensityModel:
     """A fitted gaussian kernel density estimate: data cloud and bandwidth."""
@@ -190,7 +205,8 @@ class DensityModel:
     bandwidth: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "data", _as_cloud(self.data))
+        if not isinstance(self.data, PointCloud):
+            object.__setattr__(self, "data", PointCloud(self.data))
         object.__setattr__(self, "bandwidth", _positive(self.bandwidth, "bandwidth"))
 
     @property
@@ -198,8 +214,12 @@ class DensityModel:
         return self.data.dim
 
 
-def fit(data, bandwidth: float) -> DensityModel:
-    """Build a density model over `data` (PointCloud or array-like)."""
+def fit(data, bandwidth) -> DensityModel:
+    """Build a density model over `data` (PointCloud or array-like) at
+    `bandwidth`, a positive number or "scv" (`select_bandwidth_scv`)."""
+    if isinstance(bandwidth, str) and bandwidth == "scv":
+        data = data if isinstance(data, PointCloud) else PointCloud(data)
+        bandwidth = select_bandwidth_scv(data)
     return DensityModel(data, bandwidth)
 
 
@@ -448,9 +468,9 @@ def select_bandwidth_normal_scale(data) -> float:
     is the mean of the per-coordinate sample standard deviations (n-1
     divisor).  Degenerate coordinates (zero spread) are rejected.
     """
-    cloud = _as_cloud(data)
-    n, d = cloud.size, cloud.dim
-    sigma = float(_sample_sd(cloud.points, "scale-based bandwidth undefined").mean())
+    pts = _points(data)
+    n, d = pts.shape
+    sigma = float(_sample_sd(pts, "scale-based bandwidth undefined").mean())
     return float((4.0 / (d + 2.0)) ** (1.0 / (d + 4.0)) * n ** (-1.0 / (d + 4.0)) * sigma)
 
 
@@ -524,6 +544,8 @@ def _distance_counts(points: np.ndarray, delta: float) -> np.ndarray:
     while lo < n:
         hi = min(n, lo + max(1, _BLOCK_FLOATS // (n - lo)))
         for c0, c1, times in ((lo, hi, 1), (hi, n, 2)):
+            if c0 == c1:  # the last block has no later rows
+                continue
             shape = (hi - lo, c1 - c0)
             k = shape[0] * shape[1]
             r, f, j = dist[:k], scratch[:k], left[:k]
@@ -585,11 +607,11 @@ def select_bandwidth_scv(data) -> float:
     result does not depend on where the sample sits.  Needs at least 10
     points; rejects degenerate data.
     """
-    cloud = _as_cloud(data)
-    if cloud.size < 10:
-        raise ValueError(f"smoothed CV needs at least 10 points, got {cloud.size}")
-    h_ns = select_bandwidth_normal_scale(cloud)
-    score = _scv_binned_criterion_factory(cloud.points, g=h_ns)
+    pts = _points(data)
+    if pts.shape[0] < 10:
+        raise ValueError(f"smoothed CV needs at least 10 points, got {pts.shape[0]}")
+    h_ns = select_bandwidth_normal_scale(pts)
+    score = _scv_binned_criterion_factory(pts, g=h_ns)
 
     grid = np.geomspace(h_ns / 10.0, h_ns * 10.0, _SCV_GRID)
     k = int(np.argmin(score(grid)))
@@ -620,6 +642,6 @@ def standardize(data) -> PointCloud:
     Uses the n-1 divisor.  Zero-spread coordinates are rejected rather than
     silently left unscaled, and so is a spread that overflows.
     """
-    cloud = _as_cloud(data)
-    sd = _sample_sd(cloud.points, "cannot standardize")
-    return PointCloud((cloud.points - cloud.points.mean(axis=0)) / sd)
+    pts = _points(data)
+    sd = _sample_sd(pts, "cannot standardize")
+    return PointCloud((pts - pts.mean(axis=0)) / sd)

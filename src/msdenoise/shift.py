@@ -29,11 +29,12 @@ import numpy as np
 from .density import (
     DensityModel,
     PointCloud,
-    _as_cloud,
     _as_point,
     _as_queries,
+    _count,
     _frozen,
     _kde_eval,
+    _points,
     _positive,
     _reduce_kernel_blocks,
     _row_sums,
@@ -93,9 +94,7 @@ class AnalyticDensity:
     sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
 
     def __post_init__(self) -> None:
-        if int(self.dim) < 1:
-            raise ValueError("dim must be >= 1")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", _count(self.dim, "dim"))
         for name in ("modes", "minima"):
             val = getattr(self, name)
             if val is not None:
@@ -273,8 +272,7 @@ def _shift_paths(op: ShiftOperator, starts: np.ndarray, tol: Optional[float],
     or `max_iter` steps are taken.  Returns each row's step count and flag,
     one array of step lengths per iteration (0 once a row stops) and, with
     `keep_positions`, all positions before and after each iteration."""
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    max_iter = _count(max_iter, "max_iter")
     if tol is not None:
         tol = _positive(tol, "tol")
     elif isinstance(op.source, DensityModel):
@@ -328,12 +326,10 @@ def denoise(data, op: ShiftOperator, sweeps: int = 1) -> PointCloud:
     The operator is never refit between sweeps: all points move under the
     same map, so the result is independent of row order.
     """
-    if int(sweeps) != sweeps or sweeps < 1:
-        raise ValueError(f"sweeps must be a positive integer, got {sweeps!r}")
-    cloud = _as_cloud(data)
-    if cloud.dim != op.dim:
-        raise ValueError(f"data dim {cloud.dim} does not match operator dim {op.dim}")
-    positions = cloud.points
-    for _ in range(int(sweeps)):
+    sweeps = _count(sweeps, "sweeps")
+    positions = _points(data)
+    if positions.shape[1] != op.dim:
+        raise ValueError(f"data dim {positions.shape[1]} does not match operator dim {op.dim}")
+    for _ in range(sweeps):
         positions = op.step(positions)
     return PointCloud(positions)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import PointCloud, _frozen
+from .density import PointCloud, _count, _frozen
 
 __all__ = [
     "LabeledCloud",
@@ -100,8 +100,7 @@ def gen_uniform_noise(n1: int, box_low, box_high, rng_seed: int = 0) -> PointClo
 
     The box must be finite with a finite width, which numpy's draw needs.
     """
-    if n1 < 1:
-        raise ValueError("n1 must be >= 1")
+    n1 = _count(n1, "n1")
     low = np.atleast_1d(np.asarray(box_low, dtype=float))
     high = np.atleast_1d(np.asarray(box_high, dtype=float))
     if low.shape != high.shape or low.ndim != 1:
@@ -176,8 +175,7 @@ def gen_gmm_1d(n: int, mix: float = _GMM_MIX, mu1: float = _GMM_MU1, mu2: float 
     uniforms, then n standard normals.  The normals are scaled and shifted
     in place, so the draw holds the output and one float temporary at most.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _count(n, "n")
     if not 0.0 <= mix <= 1.0:
         raise ValueError(f"mix must be in [0, 1], got {mix}")
     if s1 <= 0.0 or s2 <= 0.0:

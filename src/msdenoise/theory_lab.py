@@ -28,8 +28,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .density import (DensityModel, PointCloud, _as_cloud, _as_point, _as_queries,
-                      _checked_points, _frozen, _positive, _sq_distances, density_at, fit)
+from .density import (DensityModel, _as_point, _as_queries, _count, _frozen, _points, _positive,
+                      _sq_distances, density_at, fit)
 from .shift import (
     AnalyticDensity,
     ShiftOperator,
@@ -80,7 +80,7 @@ class LevelSetSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "level", _positive(self.level, "level"))
         if self.boundary_points is not None:
-            b = _as_cloud(self.boundary_points).points
+            b = _frozen(_points(self.boundary_points))
             object.__setattr__(self, "boundary_points", b)
             # membership must be consistent with f at the boundary itself
             vals = np.asarray(self.density(b), dtype=float)
@@ -88,10 +88,8 @@ class LevelSetSpec:
                 raise ValueError("boundary points are not on the stated level")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """One membership flag per point (rows, or the entries of a 1-D array),
-        read where they lie under `PointCloud`'s point rule."""
-        pts = _checked_points(np.asarray(points, dtype=float))
-        return np.asarray(self.density(pts), dtype=float) >= self.level
+        """One membership flag per point (rows, or the entries of a 1-D array)."""
+        return np.asarray(self.density(_points(points)), dtype=float) >= self.level
 
 
 @dataclass(frozen=True)
@@ -182,8 +180,7 @@ def _grid(values: Sequence[float], name: str, nonnegative: bool = False) -> np.n
 def _require_sampler(density: AnalyticDensity, **sizes: int) -> Callable:
     """The density's sampler, once each Monte Carlo size in `sizes` is >= 1."""
     for name, size in sizes.items():
-        if size < 1:
-            raise ValueError(f"{name} must be >= 1, got {size}")
+        _count(size, name)
     if density.sampler is None:
         raise ValueError("this check draws Monte Carlo samples; the density needs a sampler")
     return density.sampler
@@ -420,14 +417,10 @@ def _in_ball(points: np.ndarray, centre: np.ndarray, radius: float) -> np.ndarra
 def geometric_density_at(sample, x, radius: float) -> float:
     """Ball-count density estimate: points in B(x, radius) over n * ball volume.
 
-    `sample` is a PointCloud or an array-like held to its point rule; an
-    array is read where it lies, without a copy.
+    `sample` is a PointCloud or an array-like of points.
     """
     radius = _positive(radius, "radius")
-    if isinstance(sample, PointCloud):
-        pts = sample.points
-    else:
-        pts = _checked_points(np.asarray(sample, dtype=float))
+    pts = _points(sample)
     n, d = pts.shape
     count = int(np.count_nonzero(_in_ball(pts, _as_point(x, d), radius)))
     vball = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * radius**d
@@ -639,7 +632,7 @@ def perturbation_response(family: PerturbationFamily, deltas: Sequence[float], t
 def monotone_ascent_audit(model: DensityModel, probes) -> int:
     """Count probes whose estimated density drops (beyond 1e-12) after one
     weighted-mean step.  The contract is zero."""
-    pts = _as_cloud(probes).points
+    pts = _points(probes)
     stepped = empirical_step_weighted_mean(model, pts)
     before = density_at(model, pts)
     after = density_at(model, stepped)
@@ -659,8 +652,7 @@ def multi_sweep_mode_growth(density: AnalyticDensity, n_data: int = 1000, h: flo
     (1 + c1 h^2) over the true mode density; `extras['c1_fit']` reports the fitted c1.  The slope
     is per-sweep log growth (semi-log fit, `extras['fit'] = 'semilog'`).
     """
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
+    sweeps = _count(sweeps, "sweeps")
     if density.modes is None:
         raise ValueError("density must declare at least one mode")
     if density.hess_sup is None:
@@ -682,7 +674,7 @@ def multi_sweep_mode_growth(density: AnalyticDensity, n_data: int = 1000, h: flo
     op = ShiftOperator(model, tau=h)
     cur = sampler(rng, int(n_mc))
     dens_per_sweep = [geometric_density_at(cur, mode_hat, ball_radius)]
-    for _ in range(int(sweeps)):
+    for _ in range(sweeps):
         cur = op.step(cur)
         dens_per_sweep.append(geometric_density_at(cur, mode_hat, ball_radius))
     values = np.array(dens_per_sweep)

@@ -25,14 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import (_as_cloud, _check_words, _frozen, _median_pair_distance,
-                      _pair_sq_distances, _positive, fit, select_bandwidth_scv)
+from .density import (_check_words, _count, _frozen, _median_pair_distance, _pair_sq_distances,
+                      _points, _positive, fit)
 from .shift import ShiftOperator
 from .synthetic import _NOISE_HIGH, _NOISE_LOW, _rng, gen_gmm_1d
 
 
 def _sample_pair(x, y):
-    xa, ya = _as_cloud(x).points, _as_cloud(y).points
+    xa, ya = _points(x), _points(y)
     if xa.shape[1] != ya.shape[1]:
         raise ValueError(f"dimension mismatch: {xa.shape[1]} vs {ya.shape[1]}")
     return xa, ya
@@ -171,8 +171,7 @@ class TestResult:
     def __post_init__(self):
         if not 0.0 < self.p_value <= 1.0:
             raise ValueError("p_value must lie in (0, 1]")
-        if self.n_permutations < 1:
-            raise ValueError("n_permutations must be positive")
+        _count(self.n_permutations, "n_permutations")
         _check_alpha(self.alpha)
 
     @property
@@ -194,8 +193,7 @@ def permutation_test(stat, x, y, n_perm=999, rng_seed=0, alpha=0.05) -> TestResu
     which must lie in (0, 1).
     """
     xa, ya = _sample_pair(x, y)
-    if n_perm < 99:
-        raise ValueError("n_perm must be at least 99")
+    n_perm = _count(n_perm, "n_perm", 99)
     _check_alpha(alpha)
     rng = np.random.default_rng(rng_seed)
     n, m = xa.shape[0], ya.shape[0]
@@ -301,9 +299,8 @@ def msd_pipeline(points) -> np.ndarray:
     Bandwidth by smoothed cross-validation; every point moved once by the
     weighted-mean step.
     """
-    pts = _as_cloud(points).points
-    model = fit(pts, select_bandwidth_scv(pts))
-    return ShiftOperator(model).step(pts)
+    model = fit(points, "scv")
+    return ShiftOperator(model).step(model.data.points)
 
 
 @dataclass(frozen=True)
@@ -335,17 +332,14 @@ class PowerCurve:
         for r in rates:
             if r.size and (r.min() < 0.0 or r.max() > 1.0):
                 raise ValueError("rejection rates must lie in [0, 1]")
-        if int(self.n_reps) < 1:
-            raise ValueError("n_reps must be positive")
-        object.__setattr__(self, "n_reps", int(self.n_reps))
+        object.__setattr__(self, "n_reps", _count(self.n_reps, "n_reps"))
 
 
 def _power_curve(make_samples, grid, h0_value, n_reps, alpha, msd, rng_seed, test,
                  n_perm):
     """Rejection rates over `grid`; with msd, extras hold the rate after
     denoising at the null value `h0_value` and whether it exceeds alpha."""
-    if n_reps < 1:
-        raise ValueError("n_reps must be >= 1")
+    n_reps = _count(n_reps, "n_reps")
     before = np.zeros(len(grid))
     after = np.zeros(len(grid)) if msd else None
     for gi, value in enumerate(grid):

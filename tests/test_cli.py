@@ -455,7 +455,7 @@ def test_anomaly_k_checked_before_scoring(tmp_path, monkeypatch, k):
 
     # patched where the CLI binds them
     monkeypatch.setattr(msdenoise.cli, "anomaly_scores", fail)
-    monkeypatch.setattr(msdenoise.cli, "select_bandwidth_scv", fail)
+    monkeypatch.setattr(msdenoise.density, "select_bandwidth_scv", fail)
     src = tmp_path / "pts.csv"
     main(["gen", "--case", "bullseye", "--n0", "80", "--out", str(src), "--no-labels"])
     assert main(["anomaly", "--input", str(src), "--k", k]) == 2
@@ -468,7 +468,7 @@ def test_anomaly_max_iter_checked_before_bandwidth_selection(monkeypatch):
         calls.append(args)
         raise AssertionError("bandwidth selected before --max-iter was checked")
 
-    monkeypatch.setattr(msdenoise.cli, "select_bandwidth_scv", spy)
+    monkeypatch.setattr(msdenoise.density, "select_bandwidth_scv", spy)
     assert main(["anomaly", "--max-iter", "0"]) == 2
     assert calls == []
 
@@ -554,3 +554,53 @@ def test_closed_stdout_pipe_still_writes_out_json(tmp_path):
     assert b"Traceback" not in err and b"BrokenPipeError" not in err, err.decode()
     report = json.loads(out.read_text())
     assert report["n_reps"] == 150
+
+
+# ---------------------------------------------------------------------------
+# outputs and flags every command shares
+
+
+def _filled(argv, tmp_path, target=None):
+    """`argv` with SRC a small CSV in `tmp_path`, OK a path there and TARGET `target`."""
+    src = tmp_path / "pts.csv"
+    src.write_text("0.0\n1.0\n2.0\n4.0\n")
+    paths = {"SRC": str(src), "OK": str(tmp_path / "ok.out"), "TARGET": target}
+    return [paths.get(a, a) for a in argv]
+
+
+# one run per output flag, writing that output to TARGET
+_OUTPUT_RUNS = {
+    "gen --out": ["gen", "--case", "bullseye", "--n0", "50", "--out", "TARGET"],
+    "denoise output": ["denoise", "SRC", "TARGET", "--h", "1.0"],
+    "--traces-out": ["anomaly", "--input", "SRC", "--h", "1.0", "--k", "1",
+                     "--traces-out", "TARGET"],
+    "--out-csv": ["twosample", "--scenario", "noise", "--grid", "0", "--reps", "1",
+                  "--n0", "20", "--n-perm", "99", "--no-msd", "--out-csv", "TARGET"],
+    "--out-json": ["gen", "--case", "bullseye", "--n0", "50", "--out", "OK",
+                   "--out-json", "TARGET"],
+}
+
+
+@pytest.mark.parametrize("flag", list(_OUTPUT_RUNS))
+def test_an_output_that_cannot_be_opened_exits_two_naming_it(tmp_path, capsys, flag):
+    target = str(tmp_path / "missing" / "out.csv")
+    assert main(_filled(_OUTPUT_RUNS[flag], tmp_path, target)) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {target}: No such file or directory\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--case", "bullseye", "--out", "OK"],
+    ["denoise", "SRC", "OK", "--h", "1.0"],
+    ["cluster-eval", "--case", "bullseye1", "--reps", "1"],
+    ["twosample", "--scenario", "noise", "--grid", "0", "--reps", "1"],
+    ["anomaly"],
+    ["anomaly", "--input", "SRC", "--h", "1.0", "--k", "1"],
+    ["theory", "--check", "ascent"],
+], ids=["gen", "denoise", "cluster-eval", "twosample", "anomaly", "anomaly-input", "theory"])
+def test_a_negative_seed_is_refused_by_name(tmp_path, capsys, argv):
+    assert main(_filled(argv, tmp_path) + ["--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: --seed must be >= 0, got -1\n" and out == ""
+    assert os.listdir(tmp_path) == ["pts.csv"]

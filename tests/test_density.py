@@ -1,5 +1,6 @@
 """Density estimation tests: frozen hand values, independent oracles, invariants."""
 
+import dataclasses
 import math
 import os
 
@@ -356,11 +357,64 @@ def test_point_entry_points_reject_bad_samples(name, case):
         call(bad)
 
 
-def test_as_cloud_returns_a_cloud_itself():
+def test_points_reads_a_cloud_or_an_array_where_it_lies():
     cloud = PointCloud([[1.0, 2.0], [3.0, 4.0]])
-    assert density._as_cloud(cloud) is cloud
-    made = density._as_cloud([[1.0, 2.0]])
-    assert isinstance(made, PointCloud) and made.points.shape == (1, 2)
+    assert density._points(cloud) is cloud.points
+    assert fit(cloud, 1.0).data is cloud
+    x = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert np.shares_memory(density._points(x), x)
+    assert density._points([[1.0, 2.0]]).shape == (1, 2)
+    assert density._points(np.arange(3.0)).shape == (3, 1)
+
+
+def _strided(x):
+    """`x` as a view whose rows are not adjacent in memory."""
+    view = np.repeat(x, 2, axis=0)[::2]
+    assert not view.flags.c_contiguous and np.array_equal(view, x)
+    return view
+
+
+def _bits(result):
+    """A result's numbers as bytes, field by field for a dataclass."""
+    if dataclasses.is_dataclass(result):
+        return [_bits(v) for v in vars(result).values()]
+    return None if result is None else np.asarray(result).tobytes()
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _point_entry_points()])
+def test_point_entry_points_read_the_caller_array_without_writing_it(name):
+    call = dict(_point_entry_points())[name]
+    x = np.random.default_rng(3).normal(size=(12, 2))
+    before = x.copy()
+    result = call(x)
+    assert x.flags.writeable and np.array_equal(x, before)
+    assert _bits(call(_strided(x))) == _bits(result)
+
+
+def test_fit_selects_scv_by_name():
+    x = np.random.default_rng(4).normal(size=(200, 2))
+    assert fit(x, "scv").bandwidth == select_bandwidth_scv(x)
+
+
+@pytest.mark.parametrize("value", [1.5, math.nan, math.inf, "3", "SCV", None])
+def test_count_refuses_what_is_not_a_whole_number_by_name(value):
+    with pytest.raises(ValueError, match=r"sweeps must be >= 1, got "):
+        density._count(value, "sweeps")
+
+
+def test_count_takes_a_whole_number_from_its_floor():
+    assert density._count(2.0, "n") == 2 and type(density._count(np.int64(7), "n")) is int
+    assert density._count(0, "seed", 0) == 0
+    with pytest.raises(ValueError, match=r"n_perm must be >= 99, got 98"):
+        density._count(98, "n_perm", 99)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, "SCV", None])
+def test_positive_refuses_by_name(value):
+    with pytest.raises(ValueError, match=r"^bandwidth must be (a )?positive"):
+        density._positive(value, "bandwidth")
+    with pytest.raises(ValueError, match=r"^bandwidth must be (a )?positive"):
+        fit(np.zeros((3, 1)), value)
 
 
 def test_query_dimension_mismatch():
@@ -485,6 +539,20 @@ def test_distance_counts_match_direct_binning(monkeypatch, d, block):
     np.testing.assert_allclose(got, np.trim_zeros(ref, "b"), rtol=1e-12, atol=1e-9)
     assert got[0] >= len(points) + 2 * 9
     assert got.sum() == pytest.approx(len(points) ** 2, rel=1e-14)
+
+
+def test_distance_counts_take_no_empty_block(monkeypatch):
+    """The last row block has no later rows to be counted against."""
+    shapes = []
+    sq_distances = density._sq_distances
+
+    def spy(out, scratch, cols, q):
+        shapes.append(out.shape)
+        sq_distances(out, scratch, cols, q)
+
+    monkeypatch.setattr(density, "_sq_distances", spy)
+    select_bandwidth_scv(np.random.default_rng(41).normal(size=(600, 2)))
+    assert len(shapes) == 13 and min(min(s) for s in shapes) > 0
 
 
 def _binned_scv_inputs():
