@@ -98,7 +98,4 @@ def anomaly_scores(data, model: DensityModel | None = None, tol=None,
 
 def top_k(report: AnomalyReport, k: int) -> np.ndarray:
     """Indices of the k highest scores, ties broken by lower index."""
-    k = int(k)
-    if not 0 <= k <= len(report):
-        raise ValueError(f"k must be in 0..{len(report)}")
-    return report.ranking[:k]
+    return report.ranking[:_count(k, "k", 0, len(report))]

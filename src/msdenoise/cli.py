@@ -6,8 +6,10 @@ denoising, `twosample` runs the power-curve harnesses, `anomaly` ranks points
 by shift path length, and `theory` runs the Monte Carlo property checks and
 fails (exit 3) on violations.  The experiments themselves live in the library
 (`clustering`, `twosample`, `anomaly`, `theory_lab`), which owns their
-defaults and argument checks; this module reads CSVs and reference datasets,
-checks the flags that must fail before a bandwidth is selected, and writes
+defaults and argument checks (every count, `--k` and `--knn` among them,
+through one whole-number rule); this module reads CSVs and reference
+datasets, checks the flags that must fail before a bandwidth is selected,
+refuses an output whose directory is missing before any work, and writes
 every CSV and JSON report, so no library module opens a file.  `theory_lab` is
 the one module loaded on demand.  Every run prints a JSON report that embeds
 its configuration and the package version; reruns with the same inputs and
@@ -99,6 +101,16 @@ def _read_csv(path):
         raise CliError(
             f"{path}: line {start + int(i) + 1}, column {int(j) + 1}: non-finite value")
     return data, header
+
+
+def _check_output_dirs(args):
+    """Refuse an output whose directory is missing before the command runs.
+    Nothing is opened or created, so a command still reads its input first."""
+    for name in ("out", "output", "out_csv", "traces_out", "out_json"):
+        path = getattr(args, name, None)
+        directory = os.path.dirname(path) if path else ""
+        if directory and not os.path.isdir(directory):
+            raise CliError(f"{path}: No such file or directory")
 
 
 def _open_output(path):
@@ -334,8 +346,7 @@ def cmd_anomaly(args):
         arr = scenario.cloud.points
         planted = np.flatnonzero(scenario.labels == scenario.labels.max())
     rows = arr.shape[0]
-    if not 0 <= args.k <= rows:
-        raise CliError(f"--k must be in 0..{rows}")
+    _count(args.k, "--k", 0, rows)
     _count(args.max_iter, "--max-iter")
     model = fit(arr, _parse_bandwidth(args.h))
     report_obj = anomaly_scores(arr, model, max_iter=args.max_iter,
@@ -471,6 +482,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _count(args.seed, "--seed", 0)
+        _check_output_dirs(args)
         report, code = args.func(args)
         text = json.dumps(report, indent=2, sort_keys=True)
         # the file first: a reader that closes stdout early must not lose it

@@ -161,9 +161,7 @@ def kmeans(data, k, rng_seed=0) -> LabelSet:
     """
     pts = _points(data)
     n, d = pts.shape
-    k = int(k)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
+    k = _count(k, "k", 1, n)
     batch = max(1, min(_RESTARTS, _BATCH_WORDS // ((d + 8) * n)))
     best, best_wcss = None, None
     for first in range(0, _RESTARTS, batch):
@@ -260,9 +258,7 @@ def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
 
     pts = _points(data)
     n = pts.shape[0]
-    k = int(k)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
+    k = _count(k, "k", 1, n)
     if k > 1 and n < k + 1:
         raise ValueError("need at least k+1 points")
     if k == 1:
@@ -270,9 +266,7 @@ def spectral(data, k, affinity_sigma="auto", knn=None, rng_seed=0) -> LabelSet:
     # peak 2.0 n^2 words with a kNN graph, 1.5 with "auto", 1.25 dense (tracemalloc, n = 2000)
     _check_words(n * n, f"the n x n matrix of spectral clustering at n={n}")
     if knn is not None:
-        knn = int(knn)
-        if not 1 <= knn < n:
-            raise ValueError(f"knn must be in 1..{n - 1}")
+        knn = _count(knn, "knn", 1, n - 1)
 
     auto = affinity_sigma == "auto"
     if not auto:
@@ -316,9 +310,7 @@ def hierarchical(data, k) -> LabelSet:
 
     pts = _points(data)
     n = pts.shape[0]
-    k = int(k)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
+    k = _count(k, "k", 1, n)
     # peak 1.13 n (n - 1) / 2 words by tracemalloc (n = 1000-3000)
     _check_words(n * (n - 1) // 2, f"the condensed distances of average linkage at n={n}")
     merge_tree = hierarchy.linkage(pts, method="average")
@@ -411,18 +403,15 @@ def run_clustering_case(case, algo="spectral", k=2, n_reps=50, rng_seed=0,
     denoises (one sweep, bandwidth a number or "scv") and clusters again.
     ARI is scored on the structure points only, since background noise has
     no true cluster.  Spectral graph settings default per case family
-    (`knn` <= 0 forces a dense graph); the same settings apply before and
-    after so the comparison is like for like.  Returns per-replicate scores
-    plus summary statistics.
+    (`knn=0` is the one spelling of a dense graph, and a negative `knn` is
+    refused); the same settings apply before and after so the comparison is
+    like for like.  Returns per-replicate scores plus summary statistics.
     """
     if case not in _CASES:
         raise ValueError(f"unknown case {case!r}; choose from {sorted(_CASES)}")
     n_reps = _count(n_reps, "n_reps")
     knn_default, sigma_default = _CASE_SPECTRAL[_CASES[case][0]]
-    if knn is None:
-        knn = knn_default
-    elif knn <= 0:
-        knn = None
+    knn = knn_default if knn is None else (_count(knn, "knn", 0) or None)
     sigma = sigma_default if affinity_sigma is None else affinity_sigma
     before = np.empty(n_reps)
     after = np.empty(n_reps) if msd else None

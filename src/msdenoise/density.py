@@ -137,15 +137,17 @@ def _frozen(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def _count(value, name: str, low: int = 1) -> int:
-    """`value` as an int, refused by `name` unless it is a whole number of at
-    least `low`: the rule of every count (replicates, permutations, sizes)."""
+def _count(value, name: str, low: int = 1, high: int | None = None) -> int:
+    """`value` as an int, refused by `name` unless it is a whole number in
+    low..high (no upper bound without `high`): the rule of every count
+    (replicates, permutations, sizes, clusters, neighbours, top scores)."""
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
-    if n is None or n != value or n < low:
-        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    if n is None or n != value or n < low or (high is not None and n > high):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {span}, got {value!r}")
     return n
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import PointCloud, _count, _frozen
+from .density import PointCloud, _count, _frozen, _positive
 
 __all__ = [
     "LabeledCloud",
@@ -79,6 +79,7 @@ def gen_bullseye(n0: int, sigma: float = 1.0, rng_seed: int = 0) -> LabeledCloud
     gaussian noise with sd `sigma`.  Draw order: eye angles are not needed,
     so the stream is eye jitter, ring angles, ring jitter.
     """
+    n0 = _count(n0, "n0", 0)
     if n0 < 3:
         raise ValueError(f"n0 must be >= 3, so that the eye is not empty; got {n0}")
     if sigma < 0.0:
@@ -152,6 +153,7 @@ def gen_spiral(n0: int, sigma: float = 0.05, rng_seed: int = 0) -> LabeledCloud:
     arm-0 parameters, arm-1 parameters, then jitter for all points at
     once.  Labels are 0 and 1 by arm.
     """
+    n0 = _count(n0, "n0", 0)
     if n0 < 2 or n0 % 2 != 0:
         raise ValueError(f"n0 must be a positive even count, got {n0}")
     if sigma < 0.0:
@@ -166,6 +168,15 @@ def gen_spiral(n0: int, sigma: float = 0.05, rng_seed: int = 0) -> LabeledCloud:
     return LabeledCloud(PointCloud(pts), labels)
 
 
+def _gmm_parameters(mu1, mu2, s1, s2):
+    """A two-component mixture's means and sds, refused by name unless the
+    means are finite and the sds positive and finite."""
+    for name, mu in (("mu1", mu1), ("mu2", mu2)):
+        if not np.isfinite(mu):
+            raise ValueError(f"{name} must be finite, got {mu!r}")
+    return mu1, mu2, _positive(s1, "s1"), _positive(s2, "s2")
+
+
 def gen_gmm_1d(n: int, mix: float = _GMM_MIX, mu1: float = _GMM_MU1, mu2: float = _GMM_MU2,
                s1: float = _GMM_S1, s2: float = _GMM_S2, rng_seed: int = 0) -> PointCloud:
     """Two-component 1-D gaussian mixture sample, by default the paper's.
@@ -178,8 +189,7 @@ def gen_gmm_1d(n: int, mix: float = _GMM_MIX, mu1: float = _GMM_MU1, mu2: float 
     n = _count(n, "n")
     if not 0.0 <= mix <= 1.0:
         raise ValueError(f"mix must be in [0, 1], got {mix}")
-    if s1 <= 0.0 or s2 <= 0.0:
-        raise ValueError("component sds must be positive")
+    mu1, mu2, s1, s2 = _gmm_parameters(mu1, mu2, s1, s2)
     rng = np.random.default_rng(rng_seed)
     pick1 = rng.random(n) < mix
     x = rng.standard_normal(n)
@@ -195,12 +205,10 @@ def gen_gmm_2d(component_means, component_sds, counts, rng_seed: int = 0) -> Lab
     labeled i.
     """
     means = np.atleast_2d(np.asarray(component_means, dtype=float))
-    sds = np.asarray(component_sds, dtype=float).ravel()
-    cnts = np.asarray(counts, dtype=np.int64).ravel()
-    if not (means.shape[0] == sds.shape[0] == cnts.shape[0]):
+    sds = [_positive(s, "component_sds entries") for s in np.ravel(component_sds).tolist()]
+    cnts = [_count(c, "counts entries") for c in np.ravel(counts).tolist()]
+    if not (means.shape[0] == len(sds) == len(cnts)):
         raise ValueError("component_means, component_sds and counts must have matching lengths")
-    if np.any(sds <= 0.0) or np.any(cnts < 1):
-        raise ValueError("component sds must be positive and counts >= 1")
     rng = np.random.default_rng(rng_seed)
     parts, labels = [], []
     for i in range(means.shape[0]):

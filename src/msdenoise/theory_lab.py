@@ -37,7 +37,7 @@ from .shift import (
     shift_until_converged,
 )
 from .synthetic import (_GMM_MIX, _GMM_MU1, _GMM_MU2, _GMM_S1, _GMM_S2, _NOISE_HIGH,
-                        _NOISE_LOW, _rng, gen_gmm_1d)
+                        _NOISE_LOW, _gmm_parameters, _rng, gen_gmm_1d)
 
 __all__ = [
     "LevelSetSpec",
@@ -274,6 +274,7 @@ def gmm_density(mix: float = _GMM_MIX, mu1: float = _GMM_MU1, mu2: float = _GMM_
     """
     if not 0.0 < mix < 1.0:
         raise ValueError("mix must be strictly inside (0, 1) for a two-mode fixture")
+    mu1, mu2, s1, s2 = _gmm_parameters(mu1, mu2, s1, s2)
     w = np.array([mix, 1.0 - mix])
     mu = np.array([mu1, mu2])
     s = np.array([s1, s2])
@@ -366,6 +367,7 @@ def mass_increase_curve(density: AnalyticDensity, spec: LevelSetSpec, h_grid: Se
     divides by the level; each gets an `_ok` flag.
     """
     h_grid = _grid(h_grid, "h_grid")
+    n_mc = _count(n_mc, "n_mc", 0)
     if n_mc < 2:
         raise ValueError(f"n_mc must be >= 2 for a standard error, got {n_mc}")
     if density.hess_sup is None or spec.gradient_floor is None:
@@ -485,6 +487,7 @@ def empirical_population_gap(density: AnalyticDensity, probe_set: LevelSetSpec,
     n_grid = _grid(n_grid, "n_grid")
     if n_grid[0] < 100 or np.any(n_grid % 1.0 != 0.0):
         raise ValueError(f"n_grid must hold whole sample sizes, all >= 100, got {n_grid.tolist()}")
+    n_reps = _count(n_reps, "n_reps", 0)
     if n_reps < 2:
         raise ValueError(f"n_reps must be >= 2 for a standard error, got {n_reps}")
     sampler = _require_sampler(density, n_pop=n_pop)
@@ -503,7 +506,7 @@ def empirical_population_gap(density: AnalyticDensity, probe_set: LevelSetSpec,
         ses.append(float(gaps.std(ddof=1) / math.sqrt(n_reps)))
     values = np.array(means)
     extras = {"gap_se": np.array(ses), "h": float(h), "n_pop": int(n_pop),
-              "n_reps": int(n_reps), "trend_decreasing": bool(np.all(np.diff(values) < 0.0))}
+              "n_reps": n_reps, "trend_decreasing": bool(np.all(np.diff(values) < 0.0))}
     return _fitted("empirical_population_gap", n_grid, values, extras)
 
 

@@ -373,15 +373,13 @@ def power_experiment_uniform_noise(n0=1000, noise_grid=(0, 100, 200, 300, 400, 5
     null configuration.  With msd on, each sample is also denoised by one
     mean shift sweep under its own KDE and retested.
     """
-    grid = [int(v) for v in noise_grid]
-    if any(v < 0 for v in grid):
-        raise ValueError("noise counts must be nonnegative")
+    grid = [_count(v, "noise_grid entries", 0) for v in noise_grid]
 
     def make(value, rng):
         s1 = gen_gmm_1d(n0, rng_seed=rng).points
         s2 = gen_gmm_1d(n0, rng_seed=rng).points
         if value:
-            noise = rng.uniform(_NOISE_LOW, _NOISE_HIGH, (int(value), 1))
+            noise = rng.uniform(_NOISE_LOW, _NOISE_HIGH, (value, 1))
             s2 = np.vstack([s2, noise])
         return s1, s2
 

@@ -283,6 +283,13 @@ def test_cluster_eval_case_refuses_graph_flags_off_spectral(capsys, algo, flags)
     assert main(argv) == 0
 
 
+def test_cluster_eval_refuses_a_negative_knn(capsys, monkeypatch):
+    # knn=0 is the one spelling of a dense graph; -1 is refused, not read as 0
+    assert main(["cluster-eval", "--case", "spiral4", "--knn", "-1",
+                 "--reps", "1", "--no-msd"]) == 2
+    assert capsys.readouterr().err == "error: knn must be >= 0, got -1\n"
+
+
 def test_cluster_eval_refuses_an_infinite_sigma(capsys):
     argv = ["cluster-eval", "--case", "bullseye1", "--reps", "1", "--sigma", "inf"]
     assert main(argv) == 2
@@ -442,10 +449,11 @@ def test_anomaly_traces_csv_text(tmp_path):
     assert lines[-1] == "%d,%d," % last + ",".join("%.17g" % v for v in paths[-1][-1])
 
 
-def test_anomaly_k_too_large(tmp_path):
+def test_anomaly_k_too_large(tmp_path, capsys):
     src = tmp_path / "pts.csv"
     src.write_text("0.0\n1.0\n2.0\n")
     assert main(["anomaly", "--input", str(src), "--k", "5", "--h", "1.0"]) == 2
+    assert capsys.readouterr().err == "error: --k must be in 0..3, got 5\n"
 
 
 @pytest.mark.parametrize("k", ["81", "-1"])
@@ -588,6 +596,34 @@ def test_an_output_that_cannot_be_opened_exits_two_naming_it(tmp_path, capsys, f
     out, err = capsys.readouterr()
     assert err == f"error: {target}: No such file or directory\n"
     assert out == ""
+
+
+# the function each run of `_OUTPUT_RUNS` does its work in, as the CLI binds it
+_OUTPUT_WORK = {"gen --out": "gen_bullseye", "denoise output": "denoise",
+                "--traces-out": "anomaly_scores", "--out-csv": "power_experiment_uniform_noise",
+                "--out-json": "gen_bullseye"}
+
+
+@pytest.mark.parametrize("flag", list(_OUTPUT_RUNS))
+def test_an_output_into_a_missing_directory_is_refused_before_the_work(
+        tmp_path, capsys, monkeypatch, flag):
+    def fail(*args, **kwargs):
+        raise AssertionError("the work ran before its output was checked")
+
+    monkeypatch.setattr(msdenoise.cli, _OUTPUT_WORK[flag], fail)
+    target = str(tmp_path / "missing" / "out.csv")
+    assert main(_filled(_OUTPUT_RUNS[flag], tmp_path, target)) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {target}: No such file or directory\n" and out == ""
+    assert os.listdir(tmp_path) == ["pts.csv"]
+
+
+def test_denoise_may_write_over_its_own_input(tmp_path):
+    src = tmp_path / "pts.csv"
+    src.write_text("0.0\n1.0\n2.0\n4.0\n")
+    assert main(["denoise", str(src), str(src), "--h", "1.0"]) == 0
+    arr, _ = _read_csv(str(src))
+    assert arr.shape == (4, 1) and arr[0, 0] > 0.0
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -407,6 +408,61 @@ def test_count_takes_a_whole_number_from_its_floor():
     assert density._count(0, "seed", 0) == 0
     with pytest.raises(ValueError, match=r"n_perm must be >= 99, got 98"):
         density._count(98, "n_perm", 99)
+
+
+def test_count_with_an_upper_bound_names_the_range():
+    assert density._count(40.0, "k", 1, 40) == 40 and density._count(0, "k", 0, 0) == 0
+    with pytest.raises(ValueError, match=r"^k must be in 1\.\.40, got 41$"):
+        density._count(41, "k", 1, 40)
+
+
+def _count_sites():
+    """{site: (call, name, low, high, out-of-range value)} for every public
+    count with a range, or a reason check, of its own."""
+    from msdenoise import theory_lab as lab
+    from msdenoise.anomaly import anomaly_scores, top_k
+    from msdenoise.clustering import hierarchical, kmeans, run_clustering_case, spectral
+    from msdenoise.synthetic import gen_bullseye, gen_gmm_2d, gen_spiral
+    from msdenoise.twosample import power_experiment_uniform_noise
+
+    x = np.random.default_rng(0).normal(size=(40, 2))
+    report = anomaly_scores(x, fit(x, 0.5))
+    gmm = lab.gmm_density()
+    spec = lab.gmm_level_spec(gmm)
+    # a whole number out of range is echoed as given: 41.0, not a truncated 41
+    return {
+        "kmeans-k": (lambda v: kmeans(x, v), "k", 1, 40, 41.0),
+        "spectral-k": (lambda v: spectral(x, v), "k", 1, 40, 41.0),
+        "hierarchical-k": (lambda v: hierarchical(x, v), "k", 1, 40, 41.0),
+        "spectral-knn": (lambda v: spectral(x, 2, knn=v), "knn", 1, 39, 40),
+        "top_k-k": (lambda v: top_k(report, v), "k", 0, 40, 41),
+        "run_clustering_case-knn": (
+            lambda v: run_clustering_case("spiral4", n_reps=1, msd=False, knn=v),
+            "knn", 0, None, -1),
+        "noise_grid": (lambda v: power_experiment_uniform_noise(noise_grid=(0, v)),
+                       "noise_grid entries", 0, None, -1),
+        "gen_gmm_2d-counts": (lambda v: gen_gmm_2d([[0, 0], [3, 3]], [1, 1], [v, 5]),
+                              "counts entries", 1, None, 0),
+        "gen_bullseye-n0": (gen_bullseye, "n0", 0, None, -1),
+        "gen_spiral-n0": (gen_spiral, "n0", 0, None, -2),
+        "empirical_population_gap-n_reps": (
+            lambda v: lab.empirical_population_gap(gmm, spec, [200, 400], h=0.3, n_reps=v),
+            "n_reps", 0, None, -1),
+        "mass_increase_curve-n_mc": (
+            lambda v: lab.mass_increase_curve(gmm, spec, [0.1, 0.2], n_mc=v),
+            "n_mc", 0, None, -1),
+    }
+
+
+@pytest.mark.parametrize("kind", ["fraction", "nan", "text", "out_of_range"])
+@pytest.mark.parametrize("site", list(_count_sites()))
+def test_every_count_is_refused_by_name_under_one_rule(site, kind):
+    call, name, low, high, beyond = _count_sites()[site]
+    value = {"fraction": 2.5 if low == 0 else 1.9, "nan": math.nan, "text": "3",
+             "out_of_range": beyond}[kind]
+    span = f">= {low}" if high is None else f"in {low}..{high}"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {span}, got {value!r}')}$"):
+        call(value)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, "SCV", None])

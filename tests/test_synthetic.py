@@ -207,6 +207,12 @@ def test_gmm_2d_rejects_mismatched_lists():
         gen_gmm_2d([(0.0, 0.0)], [0.5, 0.7], [100])
 
 
+@pytest.mark.parametrize("sd", [0.0, -1.0, float("nan")])
+def test_gmm_2d_refuses_an_sd_that_is_not_positive_and_finite_by_name(sd):
+    with pytest.raises(ValueError, match=f"^component_sds entries must be positive and finite, got {sd}$"):
+        gen_gmm_2d([(0.0, 0.0), (3.0, 0.0)], [1.0, sd], [10, 10])
+
+
 def test_plant_outliers_bookkeeping():
     lab = gen_gmm_2d([(-3.0, 0.0), (3.0, 0.0), (0.0, 4.0)], [0.7] * 3, [200] * 3, rng_seed=0)
     out = plant_outliers(lab, [(0.0, 1.0)] * 5)

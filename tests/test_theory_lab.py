@@ -13,6 +13,7 @@ import pytest
 import msdenoise.theory_lab as lab
 from msdenoise import ShiftOperator, fit
 from msdenoise.density import PointCloud
+from msdenoise.synthetic import gen_gmm_1d
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +34,21 @@ def test_gmm_fixture_critical_points(gmm):
     assert 0.0 < gmm.minima[0, 0] < 5.0
     # curvature constant: for this mixture |p''| peaks at the taller mode
     assert gmm.hess_sup == pytest.approx(0.279, abs=2e-3)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("s1", -1.0, "s1 must be positive and finite, got -1.0"),
+    ("s1", 0.0, "s1 must be positive and finite, got 0.0"),
+    ("s2", math.nan, "s2 must be positive and finite, got nan"),
+    ("mu1", math.nan, "mu1 must be finite, got nan"),
+    ("mu2", math.inf, "mu2 must be finite, got inf"),
+])
+@pytest.mark.parametrize("make", [lab.gmm_density, lambda **kw: gen_gmm_1d(5, **kw)],
+                         ids=["gmm_density", "gen_gmm_1d"])
+def test_gmm_refuses_a_bad_sd_or_mean_by_name(make, name, value, message):
+    # at s1=-1 a fixture used to report one mode and a negative component
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(**{name: value})
 
 
 def test_gmm_level_spec_boundaries(gmm, gmm_spec):
