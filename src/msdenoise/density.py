@@ -118,14 +118,16 @@ def _check_words(words: int, what: str) -> None:
         raise ValueError(f"{what} needs {words} words, over the limit of {_WORD_BUDGET}")
 
 
-def _positive(value, name: str) -> float:
-    """`value` as a float, refused by `name` unless positive and finite."""
+def _positive(value, name: str, zero: bool = False) -> float:
+    """`value` as a float, refused by `name` unless positive (with `zero`,
+    nonnegative) and finite."""
+    sign = "nonnegative" if zero else "positive"
     try:
         v = float(value)
     except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}") from None
-    if not 0.0 < v < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {v}")
+        raise ValueError(f"{name} must be a {sign} finite number, got {value!r}") from None
+    if not (0.0 <= v if zero else 0.0 < v) or v == math.inf:
+        raise ValueError(f"{name} must be {sign} and finite, got {v}")
     return v
 
 

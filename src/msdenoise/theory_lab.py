@@ -14,10 +14,11 @@ Replicates derive their generators from the master seed through
 ``numpy.random.SeedSequence`` entropy lists (master, index...), so reports
 are reproducible and replicate order never matters.
 
-The lab runs on numpy alone.  The critical points, curvature constant and
-level-set boundaries of the reference mixture are scalar roots, found by
-bisecting every sign-change bracket on a fixed grid at once
-(`_bracketed_roots`), so no check imports scipy.
+The lab runs on numpy alone.  The reference mixture is one object,
+`synthetic._Mixture`, which its sampler, `gmm_density` and the tilt of
+`mixture_tilt_family` read.  Its critical points, curvature constant and
+level-set boundaries are scalar roots, found by bisecting every sign-change
+bracket on a fixed grid at once (`_bracketed_roots`), so no check imports scipy.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .shift import (
     shift_until_converged,
 )
 from .synthetic import (_GMM_MIX, _GMM_MU1, _GMM_MU2, _GMM_S1, _GMM_S2, _NOISE_HIGH,
-                        _NOISE_LOW, _gmm_parameters, _rng, gen_gmm_1d)
+                        _NOISE_LOW, _Mixture, _rng, gen_gmm_1d)
 
 __all__ = [
     "LevelSetSpec",
@@ -229,8 +230,8 @@ def standard_normal_density() -> AnalyticDensity:
                            hess_sup=amp, sampler=sampler)
 
 
-def _bracketed_roots(f, xs, values, xtol: float = 1e-13) -> np.ndarray:
-    """Roots of `f` in every sign-change bracket of `values` on the grid `xs`.
+def _bracketed_roots(f, xs, xtol: float = 1e-13) -> np.ndarray:
+    """Roots of `f` in every sign-change bracket of its values on the grid `xs`.
 
     A bracket is a grid step [xs[i], xs[i+1]] with
     sign(values[i]) * sign(values[i+1]) < 0, so a root that falls exactly on
@@ -240,6 +241,7 @@ def _bracketed_roots(f, xs, values, xtol: float = 1e-13) -> np.ndarray:
     zero at its midpoint, so the loop always ends.  Returns the final
     midpoints in grid order.
     """
+    values = f(xs)
     i = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)
     a = np.array(xs[i], dtype=float)
     b = np.array(xs[i + 1], dtype=float)
@@ -257,10 +259,6 @@ def _bracketed_roots(f, xs, values, xtol: float = 1e-13) -> np.ndarray:
         b[live] = np.where(sign_m != sign_a[live], m, b[live])
 
 
-def _phi(x, mu, s):
-    return np.exp(-0.5 * ((x - mu) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
-
-
 def gmm_density(mix: float = _GMM_MIX, mu1: float = _GMM_MU1, mu2: float = _GMM_MU2,
                 s1: float = _GMM_S1, s2: float = _GMM_S2) -> AnalyticDensity:
     """Two-component 1-D gaussian mixture with located critical points, by
@@ -274,54 +272,25 @@ def gmm_density(mix: float = _GMM_MIX, mu1: float = _GMM_MU1, mu2: float = _GMM_
     """
     if not 0.0 < mix < 1.0:
         raise ValueError("mix must be strictly inside (0, 1) for a two-mode fixture")
-    mu1, mu2, s1, s2 = _gmm_parameters(mu1, mu2, s1, s2)
-    w = np.array([mix, 1.0 - mix])
-    mu = np.array([mu1, mu2])
-    s = np.array([s1, s2])
-
-    def pdf_scalar(x):
-        return w[0] * _phi(x, mu[0], s[0]) + w[1] * _phi(x, mu[1], s[1])
-
-    def dpdf_scalar(x):
-        return (-w[0] * (x - mu[0]) / s[0] ** 2 * _phi(x, mu[0], s[0])
-                - w[1] * (x - mu[1]) / s[1] ** 2 * _phi(x, mu[1], s[1]))
-
-    def d2pdf_scalar(x):
-        t1 = w[0] * _phi(x, mu[0], s[0]) * (((x - mu[0]) / s[0] ** 2) ** 2 - 1.0 / s[0] ** 2)
-        t2 = w[1] * _phi(x, mu[1], s[1]) * (((x - mu[1]) / s[1] ** 2) ** 2 - 1.0 / s[1] ** 2)
-        return t1 + t2
-
-    def d3pdf_scalar(x):
-        # for z = (x - mu) / s the third derivative of phi(z) is (3z - z^3) phi(z)
-        z1 = (x - mu[0]) / s[0]
-        z2 = (x - mu[1]) / s[1]
-        return (w[0] * _phi(x, mu[0], s[0]) * (3.0 * z1 - z1 ** 3) / s[0] ** 3
-                + w[1] * _phi(x, mu[1], s[1]) * (3.0 * z2 - z2 ** 3) / s[1] ** 3)
-
-    lo = min(mu1 - 4.0 * s1, mu2 - 4.0 * s2)
-    hi = max(mu1 + 4.0 * s1, mu2 + 4.0 * s2)
-    xs = np.linspace(lo, hi, 4001)
-    roots = _bracketed_roots(dpdf_scalar, xs, dpdf_scalar(xs))
-    curv_at_roots = d2pdf_scalar(roots)
+    p = _Mixture((mix, 1.0 - mix), (mu1, mu2), (s1, s2))
+    (mu1, mu2), (s1, s2) = p.means, p.sds
+    xs = np.linspace(min(mu1 - 4.0 * s1, mu2 - 4.0 * s2), max(mu1 + 4.0 * s1, mu2 + 4.0 * s2), 4001)
+    roots = _bracketed_roots(lambda x: p.pdf(x, 1), xs)
+    curv_at_roots = p.pdf(roots, 2)
     modes = roots[curv_at_roots < 0.0]
     minima = roots[curv_at_roots > 0.0]
 
-    curv = np.abs(d2pdf_scalar(xs))
+    curv = np.abs(p.pdf(xs, 2))
     k = int(np.argmax(curv))
     window = xs[max(k - 2, 0): k + 3]
-    peaks = _bracketed_roots(d3pdf_scalar, window, d3pdf_scalar(window))
-    hess_sup = float(np.abs(d2pdf_scalar(peaks)).max(initial=curv[k]))
-
-    def dens(q):
-        return pdf_scalar(_points_1d(q))
-
-    def grad(q):
-        return dpdf_scalar(_points_1d(q))[:, None]
+    peaks = _bracketed_roots(lambda x: p.pdf(x, 3), window)
+    hess_sup = float(np.abs(p.pdf(peaks, 2)).max(initial=curv[k]))
 
     def sampler(rng, n):
         return gen_gmm_1d(n, mix, mu1, mu2, s1, s2, rng_seed=rng).points
 
-    return AnalyticDensity(density=dens, gradient=grad, dim=1,
+    return AnalyticDensity(density=lambda q: p.pdf(_points_1d(q)),
+                           gradient=lambda q: p.pdf(_points_1d(q), 1)[:, None], dim=1,
                            modes=modes[:, None], minima=minima[:, None],
                            hess_sup=hess_sup, sampler=sampler)
 
@@ -344,7 +313,7 @@ def gmm_level_spec(density: AnalyticDensity) -> LevelSetSpec:
     def excess(x):
         return np.asarray(density.density(x[:, None]), dtype=float) - level
 
-    boundary = _bracketed_roots(excess, xs, excess(xs))[:, None]
+    boundary = _bracketed_roots(excess, xs)[:, None]
     slopes = np.abs(np.asarray(density.gradient(boundary), dtype=float)[:, 0])
     return LevelSetSpec(density=density.density, level=float(level),
                         boundary_points=boundary, gradient_floor=float(slopes.min()))
@@ -529,11 +498,10 @@ class PerturbationFamily:
     delta1: Callable[[float], float]
 
 
-def _sup_norms(density: AnalyticDensity, lo: float, hi: float) -> tuple[float, float]:
-    xs = np.linspace(lo, hi, 20001)[:, None]
-    f = np.asarray(density.density(xs), dtype=float)
-    g = np.linalg.norm(np.asarray(density.gradient(xs), dtype=float), axis=1)
-    return float(f.max()), float(g.max())
+def _sup_norm_sum(f: Callable, df: Callable, lo: float, hi: float) -> float:
+    """|f|_inf + |f'|_inf of a 1-D function, taken on 20001 points of [lo, hi]."""
+    xs = np.linspace(lo, hi, 20001)
+    return float(np.abs(f(xs)).max()) + float(np.abs(df(xs)).max())
 
 
 def level_scale_family(base: AnalyticDensity) -> PerturbationFamily:
@@ -541,7 +509,7 @@ def level_scale_family(base: AnalyticDensity) -> PerturbationFamily:
     scaling (the gradient-to-density ratio cancels the factor), so the
     measured response is identically zero; the family exists to pin that
     down.  The sup norms behind delta1 are taken on [-10, 10]."""
-    f_sup, g_sup = _sup_norms(base, -10.0, 10.0)
+    unit = _sup_norm_sum(base.density, base.gradient, -10.0, 10.0)
 
     def perturbed(delta: float) -> AnalyticDensity:
         scale = 1.0 + delta
@@ -554,8 +522,7 @@ def level_scale_family(base: AnalyticDensity) -> PerturbationFamily:
 
         return AnalyticDensity(density=dens, gradient=grad, dim=base.dim)
 
-    return PerturbationFamily("level_scale", base, perturbed,
-                              delta1=lambda d: abs(d) * (f_sup + g_sup))
+    return PerturbationFamily("level_scale", base, perturbed, delta1=lambda d: abs(d) * unit)
 
 
 def mixture_tilt_family() -> PerturbationFamily:
@@ -563,18 +530,16 @@ def mixture_tilt_family() -> PerturbationFamily:
 
     This moves mass between the bumps, genuinely changing the shift field;
     the response on a level set should scale linearly in the perturbation
-    size.  The sup norms behind delta1 are taken on [mu1 - 8, mu2 + 8].
+    size.  The tilt per unit delta is the mixture with weights (-1, +1),
+    whose sup norms behind delta1 are taken on [mu1 - 8, mu2 + 8].
     """
-    mix, mu1, mu2, s1, s2 = _GMM_MIX, _GMM_MU1, _GMM_MU2, _GMM_S1, _GMM_S2
-    xs = np.linspace(mu1 - 8.0, mu2 + 8.0, 20001)
-    df = np.abs(_phi(xs, mu2, s2) - _phi(xs, mu1, s1))
-    dg = np.abs(-(xs - mu2) / s2**2 * _phi(xs, mu2, s2) + (xs - mu1) / s1**2 * _phi(xs, mu1, s1))
-    unit = float(df.max()) + float(dg.max())
+    tilt = _Mixture((-1.0, 1.0), (_GMM_MU1, _GMM_MU2), (_GMM_S1, _GMM_S2))
+    unit = _sup_norm_sum(tilt.pdf, lambda x: tilt.pdf(x, 1), _GMM_MU1 - 8.0, _GMM_MU2 + 8.0)
 
     def perturbed(delta: float) -> AnalyticDensity:
-        if not 0.0 < mix - delta < 1.0:
+        if not 0.0 < _GMM_MIX - delta < 1.0:
             raise ValueError("tilt takes the mixing weight outside (0, 1)")
-        return gmm_density(mix - delta)
+        return gmm_density(_GMM_MIX - delta)
 
     return PerturbationFamily("mixture_tilt", gmm_density(), perturbed,
                               delta1=lambda d: abs(d) * unit)

@@ -78,6 +78,16 @@ def test_uniform_noise_refuses_an_infinite_or_overflowing_box(low, high):
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0, 0.0])
+@pytest.mark.parametrize("gen", [gen_bullseye, gen_spiral])
+def test_jitter_sd_is_refused_by_name_unless_nonnegative_and_finite(gen, sigma):
+    if sigma == 0.0:
+        assert np.isfinite(gen(30, sigma=sigma).cloud.points).all()
+        return
+    with pytest.raises(ValueError, match=f"^sigma must be nonnegative and finite, got {sigma}$"):
+        gen(30, sigma=sigma)
+
+
 def test_spiral_even_count_required():
     with pytest.raises(ValueError):
         gen_spiral(301)

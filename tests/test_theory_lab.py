@@ -61,6 +61,21 @@ def test_gmm_level_spec_boundaries(gmm, gmm_spec):
     assert gmm_spec.gradient_floor > 0.0
 
 
+def test_mixture_constants_are_pinned_to_the_bit(gmm, gmm_spec):
+    # the roots, curvature constant and sup norms every theory report is
+    # built on; a rewrite of the mixture's p or p' that rounds differently
+    # moves one of them, so these are compared with ==, not approx
+    assert gmm.modes.ravel().tolist() == [7.98599146576272e-06, 4.999956513303409]
+    assert gmm.minima.ravel().tolist() == [2.701821424409575]
+    assert gmm.hess_sup == 0.2792488933367007
+    assert gmm_spec.level == 0.059841862468616024
+    assert gmm_spec.boundary_points.ravel().tolist() == [
+        -1.755241490372265, 1.7612742027916275, 3.8199075355749432, 6.17740265691957]
+    assert gmm_spec.gradient_floor == 0.06967175185236908
+    assert lab.mixture_tilt_family().delta1(1.0) == 0.6414510176031886
+    assert lab.level_scale_family(gmm).delta1(1.0) == 0.44863956039684677
+
+
 def test_theory_path_loads_no_scipy():
     code = (
         "import sys\n"
@@ -114,7 +129,8 @@ def test_gmm_critical_points_match_scipy(params):
         total = 0.0
         for w, mu, s in ((mix, mu1, s1), (1.0 - mix, mu2, s2)):
             z = (x - mu) / s
-            total = total + w * lab._phi(x, mu, s) * (z * z - 1.0) / (s * s)
+            phi = np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
+            total = total + w * phi * (z * z - 1.0) / (s * s)
         return total
 
     k = int(np.argmax(np.abs(curvature(xs))))
@@ -144,7 +160,7 @@ def test_gmm_critical_points_match_scipy(params):
 def test_bracketed_roots_match_brentq_bracket_rule(f):
     pytest.importorskip("scipy")
     xs = np.linspace(0.0, 1.0, 11)
-    got = lab._bracketed_roots(f, xs, f(xs))
+    got = lab._bracketed_roots(f, xs)
     want = _brentq_roots(f, xs, f(xs))
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-13)
@@ -153,7 +169,7 @@ def test_bracketed_roots_match_brentq_bracket_rule(f):
 def test_bracketed_roots_stops_on_an_exact_zero():
     # the first midpoint is the root itself
     xs = np.array([0.0, 1.0])
-    assert lab._bracketed_roots(lambda x: x - 0.5, xs, xs - 0.5).tolist() == [0.5]
+    assert lab._bracketed_roots(lambda x: x - 0.5, xs).tolist() == [0.5]
 
 
 def test_level_set_mass_normal_interval_oracle():
